@@ -382,9 +382,10 @@ let prune_cmd =
      --fleet onto every listed shard daemon.  The source model is an \
      existing registry artifact (--from) or a freshly built one (same \
      flags as publish).  Re-packing the pruned graph takes the per-tap \
-     sparse/dense execution decision against TWQ_SPARSE_THRESHOLD, so \
-     anything serving the artifact runs the compressed-panel GEMMs on \
-     the taps that earned them."
+     sparse/dense execution decision against the density cutoff \
+     (Microkernel.sparse_threshold, 0.5), so anything serving the \
+     artifact runs the compressed-panel GEMMs on the taps that earned \
+     them."
   in
   let name_arg =
     Arg.(value & opt string "tiny-pruned" & info [ "name" ] ~doc:"Published model name.")
@@ -511,8 +512,11 @@ let prune_cmd =
          compressed-panel driver disabled. *)
       let t0 = Twq_winograd.Microkernel.sparse_threshold () in
       Twq_winograd.Microkernel.set_sparse_threshold 0.0;
-      let dense = Serve.Model.Graph (Twq_nn.Int_graph.prune ig ~density) in
-      Twq_winograd.Microkernel.set_sparse_threshold t0;
+      let dense =
+        Fun.protect
+          ~finally:(fun () -> Twq_winograd.Microkernel.set_sparse_threshold t0)
+          (fun () -> Serve.Model.Graph (Twq_nn.Int_graph.prune ig ~density))
+      in
       let tmp = Filename.temp_file "twq_prune_check" "" in
       Sys.remove tmp;
       Unix.mkdir tmp 0o700;

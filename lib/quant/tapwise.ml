@@ -316,7 +316,6 @@ type packed = {
       (* Winograd weights, NR-packed for the microkernel:
          u[tap·cin·cout_p + ((jb·cin + ci)·nr + jr)] with [co = jb·nr+jr];
          pad lanes [co ≥ cout] are zero. *)
-  nr : int;  (* register block width the panel was packed with *)
   cout_p : int;  (* cout rounded up to [nr] *)
   sparse : Microkernel.sparse option array;
       (* Per-tap compressed panel, present iff the tap's measured
@@ -349,8 +348,6 @@ let pack l =
         let co = idx / tt and tap = idx mod tt in
         weight_scale l co (tap / t) (tap mod t))
   in
-  (* The packing geometry is captured here so a later config change
-     cannot desync the layout from its consumers in [forward_int_into]. *)
   let { Microkernel.nr; _ } = Microkernel.config () in
   let cout_p = Microkernel.round_up cout nr in
   let ucincp = cin * cout_p in
@@ -389,7 +386,6 @@ let pack l =
   {
     layer = l;
     u;
-    nr;
     cout_p;
     sparse;
     tap_density;
@@ -445,9 +441,9 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
   let a_hi = (1 lsl (act_bits - 1)) - 1 in
   let a_lo = -(a_hi + 1) in
   let s_y = l.s_y in
-  let nr = p.nr and cout_p = p.cout_p in
+  let cout_p = p.cout_p in
   let ucincp = cin * cout_p in
-  let { Microkernel.mr; kc; _ } = Microkernel.config () in
+  let { Microkernel.mr; nr; kc } = Microkernel.config () in
   let n_th = (ho + m - 1) / m and n_tw = (wo + m - 1) / m in
   let tiles_per_img = n_th * n_tw in
   let total = n * tiles_per_img in

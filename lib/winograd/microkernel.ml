@@ -3,11 +3,11 @@
 
    The tap-major drivers reduce every Winograd tap to one
    [tiles × Cin] · [Cin × Cout] product.  This module supplies the inner
-   engine for those products: MR×NR accumulator-block kernels over
-   *packed* operand panels, plus a KC-blocked driver that keeps one
-   [KC × NR] weight panel L1-resident while it sweeps the tile panels —
-   the same work-group tiling shape as a GPU Winograd kernel's
-   per-work-group [tiles × Cout] block.
+   engine for those products: one fixed 4×4 accumulator-block kernel
+   (float and int) over *packed* operand panels, plus a KC-blocked
+   driver that keeps one [KC × NR] weight panel L1-resident while it
+   sweeps the tile panels — the same work-group tiling shape as a GPU
+   Winograd kernel's per-work-group [tiles × Cout] block.
 
    Packed layouts (both panels are padded to full register blocks; pad
    lanes must be zero so padded outputs stay finite and unread):
@@ -37,75 +37,21 @@
 
 type cfg = { mr : int; nr : int; kc : int }
 
-let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
+(* The one register block: a 4×4 accumulator block (16 refs that
+   ocamlopt's [eliminate_ref] keeps unboxed) and a 256-deep k panel —
+   one panel covers Cin for every ResNet-style layer, so the fold
+   usually runs in a single pass. *)
+let block = { mr = 4; nr = 4; kc = 256 }
 
-(* Environment overrides fail fast: a malformed or non-positive value is
-   a configuration error, not a hint — falling back silently would run
-   the whole benchmark with a different register block than the one the
-   user asked for.  Positive values outside the supported range still
-   clamp (the range is an implementation limit, not user error). *)
-let env_int name default lo hi =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> clamp lo hi v
-      | Some v ->
-          invalid_arg
-            (Printf.sprintf "%s: %d must be positive" name v)
-      | None ->
-          invalid_arg
-            (Printf.sprintf "%s: %S is not an integer" name s))
-
-let env_float name default lo hi =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v >= lo && v <= hi -> v
-      | Some v ->
-          invalid_arg
-            (Printf.sprintf "%s: %g must be in [%g, %g]" name v lo hi)
-      | None ->
-          invalid_arg
-            (Printf.sprintf "%s: %S is not a number" name s))
-
-(* Compiled defaults: a 4×4 accumulator block (the specialized kernels
-   below; 16 float refs that ocamlopt's [eliminate_ref] keeps unboxed)
-   and a 256-deep k panel — one panel covers Cin for every ResNet-style
-   layer, so the fold usually runs in a single pass.  Register blocks
-   other than {1..4}×4 fall back to a generic (slower, still
-   order-preserving) kernel; they exist for experiments via the
-   environment overrides. *)
-let default_cfg =
-  {
-    mr = env_int "TWQ_GEMM_MR" 4 1 8;
-    nr = env_int "TWQ_GEMM_NR" 4 1 8;
-    kc = env_int "TWQ_GEMM_KC" 256 8 4096;
-  }
-
-let current = ref default_cfg
-
-let config () = !current
-
-let set_config ?mr ?nr ?kc () =
-  let c = !current in
-  current :=
-    {
-      mr = (match mr with Some v -> clamp 1 8 v | None -> c.mr);
-      nr = (match nr with Some v -> clamp 1 8 v | None -> c.nr);
-      kc = (match kc with Some v -> clamp 8 4096 v | None -> c.kc);
-    }
+let config () = block
 
 (* Sparse/dense cutoff for the compressed-panel path: a tap whose weight
    panel density is strictly below the threshold is packed compressed
    and executed by [gemm_i32_sparse]; 0.0 disables the sparse path
    entirely, 1.0 compresses every tap with at least one zero.  The
    default 0.5 sits at the measured break-even of the compressed
-   kernels (see DESIGN.md §14). *)
-let default_sparse_threshold = env_float "TWQ_SPARSE_THRESHOLD" 0.5 0.0 1.0
-
-let sparse_threshold_v = ref default_sparse_threshold
+   kernel (see DESIGN.md §14). *)
+let sparse_threshold_v = ref 0.5
 
 let sparse_threshold () = !sparse_threshold_v
 
@@ -116,17 +62,22 @@ let set_sparse_threshold t =
          "Microkernel.set_sparse_threshold: %g must be in [0, 1]" t);
   sparse_threshold_v := t
 
-let reset_config () =
-  current := default_cfg;
-  sparse_threshold_v := default_sparse_threshold
-
 let round_up n b = (n + b - 1) / b * b
 
-(* ------------------------------------------------------ float kernels *)
+(* The drivers accept only the compiled block; any other shape is a
+   caller bug, not a tuning request. *)
+let check_block name field v expected =
+  if v <> expected then
+    invalid_arg
+      (Printf.sprintf "Microkernel.%s: %s = %d, only %s = %d is supported"
+         name field v field expected)
 
-(* [kf_MRx4 v vo u uo kn c o0 cs]: MR×4 block update.  [vo]/[uo] point at
-   the k=0 element of the A/B panel slice, [o0] at C's top-left element
-   of the block, [cs] is C's row stride, [kn] the panel depth. *)
+(* ------------------------------------------------------------- kernels *)
+
+(* [kf_4x4 v vo u uo kn c o0 cs] / [ki_4x4 ...]: 4×4 block update.
+   [vo]/[uo] point at the k=0 element of the A/B panel slice, [o0] at
+   C's top-left element of the block, [cs] is C's row stride, [kn] the
+   panel depth. *)
 
 let kf_4x4 (v : float array) vo (u : float array) uo kn (c : float array) o0 cs
     =
@@ -193,450 +144,6 @@ let kf_4x4 (v : float array) vo (u : float array) uo kn (c : float array) o0 cs
   Array.unsafe_set c (o3 + 2) !c32;
   Array.unsafe_set c (o3 + 3) !c33
 
-let kf_2x4 (v : float array) vo (u : float array) uo kn (c : float array) o0 cs
-    =
-  let o1 = o0 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 2) and b = uo + (k * 4) in
-    let a0 = Array.unsafe_get v a and a1 = Array.unsafe_get v (a + 1) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c02 := !c02 +. (a0 *. b2);
-    c03 := !c03 +. (a0 *. b3);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c12 := !c12 +. (a1 *. b2);
-    c13 := !c13 +. (a1 *. b3)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13
-
-let kf_1x4 (v : float array) vo (u : float array) uo kn (c : float array) o0
-    _cs =
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3)) in
-  for k = 0 to kn - 1 do
-    let b = uo + (k * 4) in
-    let a0 = Array.unsafe_get v (vo + k) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c02 := !c02 +. (a0 *. b2);
-    c03 := !c03 +. (a0 *. b3)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03
-
-let kf_3x4 (v : float array) vo (u : float array) uo kn (c : float array) o0 cs
-    =
-  let o1 = o0 + cs in
-  let o2 = o1 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c20 = ref (Array.unsafe_get c o2)
-  and c21 = ref (Array.unsafe_get c (o2 + 1))
-  and c22 = ref (Array.unsafe_get c (o2 + 2))
-  and c23 = ref (Array.unsafe_get c (o2 + 3)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 3) and b = uo + (k * 4) in
-    let a0 = Array.unsafe_get v a
-    and a1 = Array.unsafe_get v (a + 1)
-    and a2 = Array.unsafe_get v (a + 2) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c02 := !c02 +. (a0 *. b2);
-    c03 := !c03 +. (a0 *. b3);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c12 := !c12 +. (a1 *. b2);
-    c13 := !c13 +. (a1 *. b3);
-    c20 := !c20 +. (a2 *. b0);
-    c21 := !c21 +. (a2 *. b1);
-    c22 := !c22 +. (a2 *. b2);
-    c23 := !c23 +. (a2 *. b3)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13;
-  Array.unsafe_set c o2 !c20;
-  Array.unsafe_set c (o2 + 1) !c21;
-  Array.unsafe_set c (o2 + 2) !c22;
-  Array.unsafe_set c (o2 + 3) !c23
-
-(* NR=8 variants: same fold, twice the column width, so wide-Cout panels
-   (Cout ≥ 8 per register block) stop falling into the generic kernel.
-   4×8 keeps 32 accumulator refs live — still within what ocamlopt's
-   [eliminate_ref] unboxes. *)
-
-let kf_4x8 (v : float array) vo (u : float array) uo kn (c : float array) o0 cs
-    =
-  let o1 = o0 + cs in
-  let o2 = o1 + cs in
-  let o3 = o2 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c04 = ref (Array.unsafe_get c (o0 + 4))
-  and c05 = ref (Array.unsafe_get c (o0 + 5))
-  and c06 = ref (Array.unsafe_get c (o0 + 6))
-  and c07 = ref (Array.unsafe_get c (o0 + 7))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c14 = ref (Array.unsafe_get c (o1 + 4))
-  and c15 = ref (Array.unsafe_get c (o1 + 5))
-  and c16 = ref (Array.unsafe_get c (o1 + 6))
-  and c17 = ref (Array.unsafe_get c (o1 + 7))
-  and c20 = ref (Array.unsafe_get c o2)
-  and c21 = ref (Array.unsafe_get c (o2 + 1))
-  and c22 = ref (Array.unsafe_get c (o2 + 2))
-  and c23 = ref (Array.unsafe_get c (o2 + 3))
-  and c24 = ref (Array.unsafe_get c (o2 + 4))
-  and c25 = ref (Array.unsafe_get c (o2 + 5))
-  and c26 = ref (Array.unsafe_get c (o2 + 6))
-  and c27 = ref (Array.unsafe_get c (o2 + 7))
-  and c30 = ref (Array.unsafe_get c o3)
-  and c31 = ref (Array.unsafe_get c (o3 + 1))
-  and c32 = ref (Array.unsafe_get c (o3 + 2))
-  and c33 = ref (Array.unsafe_get c (o3 + 3))
-  and c34 = ref (Array.unsafe_get c (o3 + 4))
-  and c35 = ref (Array.unsafe_get c (o3 + 5))
-  and c36 = ref (Array.unsafe_get c (o3 + 6))
-  and c37 = ref (Array.unsafe_get c (o3 + 7)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 4) and b = uo + (k * 8) in
-    let a0 = Array.unsafe_get v a
-    and a1 = Array.unsafe_get v (a + 1)
-    and a2 = Array.unsafe_get v (a + 2)
-    and a3 = Array.unsafe_get v (a + 3) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3)
-    and b4 = Array.unsafe_get u (b + 4)
-    and b5 = Array.unsafe_get u (b + 5)
-    and b6 = Array.unsafe_get u (b + 6)
-    and b7 = Array.unsafe_get u (b + 7) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c02 := !c02 +. (a0 *. b2);
-    c03 := !c03 +. (a0 *. b3);
-    c04 := !c04 +. (a0 *. b4);
-    c05 := !c05 +. (a0 *. b5);
-    c06 := !c06 +. (a0 *. b6);
-    c07 := !c07 +. (a0 *. b7);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c12 := !c12 +. (a1 *. b2);
-    c13 := !c13 +. (a1 *. b3);
-    c14 := !c14 +. (a1 *. b4);
-    c15 := !c15 +. (a1 *. b5);
-    c16 := !c16 +. (a1 *. b6);
-    c17 := !c17 +. (a1 *. b7);
-    c20 := !c20 +. (a2 *. b0);
-    c21 := !c21 +. (a2 *. b1);
-    c22 := !c22 +. (a2 *. b2);
-    c23 := !c23 +. (a2 *. b3);
-    c24 := !c24 +. (a2 *. b4);
-    c25 := !c25 +. (a2 *. b5);
-    c26 := !c26 +. (a2 *. b6);
-    c27 := !c27 +. (a2 *. b7);
-    c30 := !c30 +. (a3 *. b0);
-    c31 := !c31 +. (a3 *. b1);
-    c32 := !c32 +. (a3 *. b2);
-    c33 := !c33 +. (a3 *. b3);
-    c34 := !c34 +. (a3 *. b4);
-    c35 := !c35 +. (a3 *. b5);
-    c36 := !c36 +. (a3 *. b6);
-    c37 := !c37 +. (a3 *. b7)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c (o0 + 4) !c04;
-  Array.unsafe_set c (o0 + 5) !c05;
-  Array.unsafe_set c (o0 + 6) !c06;
-  Array.unsafe_set c (o0 + 7) !c07;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13;
-  Array.unsafe_set c (o1 + 4) !c14;
-  Array.unsafe_set c (o1 + 5) !c15;
-  Array.unsafe_set c (o1 + 6) !c16;
-  Array.unsafe_set c (o1 + 7) !c17;
-  Array.unsafe_set c o2 !c20;
-  Array.unsafe_set c (o2 + 1) !c21;
-  Array.unsafe_set c (o2 + 2) !c22;
-  Array.unsafe_set c (o2 + 3) !c23;
-  Array.unsafe_set c (o2 + 4) !c24;
-  Array.unsafe_set c (o2 + 5) !c25;
-  Array.unsafe_set c (o2 + 6) !c26;
-  Array.unsafe_set c (o2 + 7) !c27;
-  Array.unsafe_set c o3 !c30;
-  Array.unsafe_set c (o3 + 1) !c31;
-  Array.unsafe_set c (o3 + 2) !c32;
-  Array.unsafe_set c (o3 + 3) !c33;
-  Array.unsafe_set c (o3 + 4) !c34;
-  Array.unsafe_set c (o3 + 5) !c35;
-  Array.unsafe_set c (o3 + 6) !c36;
-  Array.unsafe_set c (o3 + 7) !c37
-
-let kf_3x8 (v : float array) vo (u : float array) uo kn (c : float array) o0 cs
-    =
-  let o1 = o0 + cs in
-  let o2 = o1 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c04 = ref (Array.unsafe_get c (o0 + 4))
-  and c05 = ref (Array.unsafe_get c (o0 + 5))
-  and c06 = ref (Array.unsafe_get c (o0 + 6))
-  and c07 = ref (Array.unsafe_get c (o0 + 7))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c14 = ref (Array.unsafe_get c (o1 + 4))
-  and c15 = ref (Array.unsafe_get c (o1 + 5))
-  and c16 = ref (Array.unsafe_get c (o1 + 6))
-  and c17 = ref (Array.unsafe_get c (o1 + 7))
-  and c20 = ref (Array.unsafe_get c o2)
-  and c21 = ref (Array.unsafe_get c (o2 + 1))
-  and c22 = ref (Array.unsafe_get c (o2 + 2))
-  and c23 = ref (Array.unsafe_get c (o2 + 3))
-  and c24 = ref (Array.unsafe_get c (o2 + 4))
-  and c25 = ref (Array.unsafe_get c (o2 + 5))
-  and c26 = ref (Array.unsafe_get c (o2 + 6))
-  and c27 = ref (Array.unsafe_get c (o2 + 7)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 3) and b = uo + (k * 8) in
-    let a0 = Array.unsafe_get v a
-    and a1 = Array.unsafe_get v (a + 1)
-    and a2 = Array.unsafe_get v (a + 2) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3)
-    and b4 = Array.unsafe_get u (b + 4)
-    and b5 = Array.unsafe_get u (b + 5)
-    and b6 = Array.unsafe_get u (b + 6)
-    and b7 = Array.unsafe_get u (b + 7) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c02 := !c02 +. (a0 *. b2);
-    c03 := !c03 +. (a0 *. b3);
-    c04 := !c04 +. (a0 *. b4);
-    c05 := !c05 +. (a0 *. b5);
-    c06 := !c06 +. (a0 *. b6);
-    c07 := !c07 +. (a0 *. b7);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c12 := !c12 +. (a1 *. b2);
-    c13 := !c13 +. (a1 *. b3);
-    c14 := !c14 +. (a1 *. b4);
-    c15 := !c15 +. (a1 *. b5);
-    c16 := !c16 +. (a1 *. b6);
-    c17 := !c17 +. (a1 *. b7);
-    c20 := !c20 +. (a2 *. b0);
-    c21 := !c21 +. (a2 *. b1);
-    c22 := !c22 +. (a2 *. b2);
-    c23 := !c23 +. (a2 *. b3);
-    c24 := !c24 +. (a2 *. b4);
-    c25 := !c25 +. (a2 *. b5);
-    c26 := !c26 +. (a2 *. b6);
-    c27 := !c27 +. (a2 *. b7)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c (o0 + 4) !c04;
-  Array.unsafe_set c (o0 + 5) !c05;
-  Array.unsafe_set c (o0 + 6) !c06;
-  Array.unsafe_set c (o0 + 7) !c07;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13;
-  Array.unsafe_set c (o1 + 4) !c14;
-  Array.unsafe_set c (o1 + 5) !c15;
-  Array.unsafe_set c (o1 + 6) !c16;
-  Array.unsafe_set c (o1 + 7) !c17;
-  Array.unsafe_set c o2 !c20;
-  Array.unsafe_set c (o2 + 1) !c21;
-  Array.unsafe_set c (o2 + 2) !c22;
-  Array.unsafe_set c (o2 + 3) !c23;
-  Array.unsafe_set c (o2 + 4) !c24;
-  Array.unsafe_set c (o2 + 5) !c25;
-  Array.unsafe_set c (o2 + 6) !c26;
-  Array.unsafe_set c (o2 + 7) !c27
-
-let kf_2x8 (v : float array) vo (u : float array) uo kn (c : float array) o0 cs
-    =
-  let o1 = o0 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c04 = ref (Array.unsafe_get c (o0 + 4))
-  and c05 = ref (Array.unsafe_get c (o0 + 5))
-  and c06 = ref (Array.unsafe_get c (o0 + 6))
-  and c07 = ref (Array.unsafe_get c (o0 + 7))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c14 = ref (Array.unsafe_get c (o1 + 4))
-  and c15 = ref (Array.unsafe_get c (o1 + 5))
-  and c16 = ref (Array.unsafe_get c (o1 + 6))
-  and c17 = ref (Array.unsafe_get c (o1 + 7)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 2) and b = uo + (k * 8) in
-    let a0 = Array.unsafe_get v a and a1 = Array.unsafe_get v (a + 1) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3)
-    and b4 = Array.unsafe_get u (b + 4)
-    and b5 = Array.unsafe_get u (b + 5)
-    and b6 = Array.unsafe_get u (b + 6)
-    and b7 = Array.unsafe_get u (b + 7) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c02 := !c02 +. (a0 *. b2);
-    c03 := !c03 +. (a0 *. b3);
-    c04 := !c04 +. (a0 *. b4);
-    c05 := !c05 +. (a0 *. b5);
-    c06 := !c06 +. (a0 *. b6);
-    c07 := !c07 +. (a0 *. b7);
-    c10 := !c10 +. (a1 *. b0);
-    c11 := !c11 +. (a1 *. b1);
-    c12 := !c12 +. (a1 *. b2);
-    c13 := !c13 +. (a1 *. b3);
-    c14 := !c14 +. (a1 *. b4);
-    c15 := !c15 +. (a1 *. b5);
-    c16 := !c16 +. (a1 *. b6);
-    c17 := !c17 +. (a1 *. b7)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c (o0 + 4) !c04;
-  Array.unsafe_set c (o0 + 5) !c05;
-  Array.unsafe_set c (o0 + 6) !c06;
-  Array.unsafe_set c (o0 + 7) !c07;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13;
-  Array.unsafe_set c (o1 + 4) !c14;
-  Array.unsafe_set c (o1 + 5) !c15;
-  Array.unsafe_set c (o1 + 6) !c16;
-  Array.unsafe_set c (o1 + 7) !c17
-
-let kf_1x8 (v : float array) vo (u : float array) uo kn (c : float array) o0
-    _cs =
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c04 = ref (Array.unsafe_get c (o0 + 4))
-  and c05 = ref (Array.unsafe_get c (o0 + 5))
-  and c06 = ref (Array.unsafe_get c (o0 + 6))
-  and c07 = ref (Array.unsafe_get c (o0 + 7)) in
-  for k = 0 to kn - 1 do
-    let b = uo + (k * 8) in
-    let a0 = Array.unsafe_get v (vo + k) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3)
-    and b4 = Array.unsafe_get u (b + 4)
-    and b5 = Array.unsafe_get u (b + 5)
-    and b6 = Array.unsafe_get u (b + 6)
-    and b7 = Array.unsafe_get u (b + 7) in
-    c00 := !c00 +. (a0 *. b0);
-    c01 := !c01 +. (a0 *. b1);
-    c02 := !c02 +. (a0 *. b2);
-    c03 := !c03 +. (a0 *. b3);
-    c04 := !c04 +. (a0 *. b4);
-    c05 := !c05 +. (a0 *. b5);
-    c06 := !c06 +. (a0 *. b6);
-    c07 := !c07 +. (a0 *. b7)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c (o0 + 4) !c04;
-  Array.unsafe_set c (o0 + 5) !c05;
-  Array.unsafe_set c (o0 + 6) !c06;
-  Array.unsafe_set c (o0 + 7) !c07
-
-(* Generic MR×NR fallback for experimental register blocks: C-resident
-   accumulators, same ascending-k fold per element. *)
-let kf_gen ~mr ~nr (v : float array) vo (u : float array) uo kn
-    (c : float array) o0 cs =
-  for k = 0 to kn - 1 do
-    let a = vo + (k * mr) and b = uo + (k * nr) in
-    for i = 0 to mr - 1 do
-      let ai = Array.unsafe_get v (a + i) in
-      let crow = o0 + (i * cs) in
-      for j = 0 to nr - 1 do
-        Array.unsafe_set c (crow + j)
-          (Array.unsafe_get c (crow + j) +. (ai *. Array.unsafe_get u (b + j)))
-      done
-    done
-  done
-
-(* -------------------------------------------------------- int kernels *)
-
 let ki_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
   let o1 = o0 + cs in
   let o2 = o1 + cs in
@@ -701,438 +208,6 @@ let ki_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
   Array.unsafe_set c (o3 + 2) !c32;
   Array.unsafe_set c (o3 + 3) !c33
 
-let ki_2x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
-  let o1 = o0 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 2) and b = uo + (k * 4) in
-    let a0 = Array.unsafe_get v a and a1 = Array.unsafe_get v (a + 1) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3) in
-    c00 := !c00 + (a0 * b0);
-    c01 := !c01 + (a0 * b1);
-    c02 := !c02 + (a0 * b2);
-    c03 := !c03 + (a0 * b3);
-    c10 := !c10 + (a1 * b0);
-    c11 := !c11 + (a1 * b1);
-    c12 := !c12 + (a1 * b2);
-    c13 := !c13 + (a1 * b3)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13
-
-let ki_1x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 _cs =
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3)) in
-  for k = 0 to kn - 1 do
-    let b = uo + (k * 4) in
-    let a0 = Array.unsafe_get v (vo + k) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3) in
-    c00 := !c00 + (a0 * b0);
-    c01 := !c01 + (a0 * b1);
-    c02 := !c02 + (a0 * b2);
-    c03 := !c03 + (a0 * b3)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03
-
-let ki_3x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
-  let o1 = o0 + cs in
-  let o2 = o1 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c20 = ref (Array.unsafe_get c o2)
-  and c21 = ref (Array.unsafe_get c (o2 + 1))
-  and c22 = ref (Array.unsafe_get c (o2 + 2))
-  and c23 = ref (Array.unsafe_get c (o2 + 3)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 3) and b = uo + (k * 4) in
-    let a0 = Array.unsafe_get v a
-    and a1 = Array.unsafe_get v (a + 1)
-    and a2 = Array.unsafe_get v (a + 2) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3) in
-    c00 := !c00 + (a0 * b0);
-    c01 := !c01 + (a0 * b1);
-    c02 := !c02 + (a0 * b2);
-    c03 := !c03 + (a0 * b3);
-    c10 := !c10 + (a1 * b0);
-    c11 := !c11 + (a1 * b1);
-    c12 := !c12 + (a1 * b2);
-    c13 := !c13 + (a1 * b3);
-    c20 := !c20 + (a2 * b0);
-    c21 := !c21 + (a2 * b1);
-    c22 := !c22 + (a2 * b2);
-    c23 := !c23 + (a2 * b3)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13;
-  Array.unsafe_set c o2 !c20;
-  Array.unsafe_set c (o2 + 1) !c21;
-  Array.unsafe_set c (o2 + 2) !c22;
-  Array.unsafe_set c (o2 + 3) !c23
-
-let ki_4x8 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs
-    =
-  let o1 = o0 + cs in
-  let o2 = o1 + cs in
-  let o3 = o2 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c04 = ref (Array.unsafe_get c (o0 + 4))
-  and c05 = ref (Array.unsafe_get c (o0 + 5))
-  and c06 = ref (Array.unsafe_get c (o0 + 6))
-  and c07 = ref (Array.unsafe_get c (o0 + 7))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c14 = ref (Array.unsafe_get c (o1 + 4))
-  and c15 = ref (Array.unsafe_get c (o1 + 5))
-  and c16 = ref (Array.unsafe_get c (o1 + 6))
-  and c17 = ref (Array.unsafe_get c (o1 + 7))
-  and c20 = ref (Array.unsafe_get c o2)
-  and c21 = ref (Array.unsafe_get c (o2 + 1))
-  and c22 = ref (Array.unsafe_get c (o2 + 2))
-  and c23 = ref (Array.unsafe_get c (o2 + 3))
-  and c24 = ref (Array.unsafe_get c (o2 + 4))
-  and c25 = ref (Array.unsafe_get c (o2 + 5))
-  and c26 = ref (Array.unsafe_get c (o2 + 6))
-  and c27 = ref (Array.unsafe_get c (o2 + 7))
-  and c30 = ref (Array.unsafe_get c o3)
-  and c31 = ref (Array.unsafe_get c (o3 + 1))
-  and c32 = ref (Array.unsafe_get c (o3 + 2))
-  and c33 = ref (Array.unsafe_get c (o3 + 3))
-  and c34 = ref (Array.unsafe_get c (o3 + 4))
-  and c35 = ref (Array.unsafe_get c (o3 + 5))
-  and c36 = ref (Array.unsafe_get c (o3 + 6))
-  and c37 = ref (Array.unsafe_get c (o3 + 7)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 4) and b = uo + (k * 8) in
-    let a0 = Array.unsafe_get v a
-    and a1 = Array.unsafe_get v (a + 1)
-    and a2 = Array.unsafe_get v (a + 2)
-    and a3 = Array.unsafe_get v (a + 3) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3)
-    and b4 = Array.unsafe_get u (b + 4)
-    and b5 = Array.unsafe_get u (b + 5)
-    and b6 = Array.unsafe_get u (b + 6)
-    and b7 = Array.unsafe_get u (b + 7) in
-    c00 := !c00 + (a0 * b0);
-    c01 := !c01 + (a0 * b1);
-    c02 := !c02 + (a0 * b2);
-    c03 := !c03 + (a0 * b3);
-    c04 := !c04 + (a0 * b4);
-    c05 := !c05 + (a0 * b5);
-    c06 := !c06 + (a0 * b6);
-    c07 := !c07 + (a0 * b7);
-    c10 := !c10 + (a1 * b0);
-    c11 := !c11 + (a1 * b1);
-    c12 := !c12 + (a1 * b2);
-    c13 := !c13 + (a1 * b3);
-    c14 := !c14 + (a1 * b4);
-    c15 := !c15 + (a1 * b5);
-    c16 := !c16 + (a1 * b6);
-    c17 := !c17 + (a1 * b7);
-    c20 := !c20 + (a2 * b0);
-    c21 := !c21 + (a2 * b1);
-    c22 := !c22 + (a2 * b2);
-    c23 := !c23 + (a2 * b3);
-    c24 := !c24 + (a2 * b4);
-    c25 := !c25 + (a2 * b5);
-    c26 := !c26 + (a2 * b6);
-    c27 := !c27 + (a2 * b7);
-    c30 := !c30 + (a3 * b0);
-    c31 := !c31 + (a3 * b1);
-    c32 := !c32 + (a3 * b2);
-    c33 := !c33 + (a3 * b3);
-    c34 := !c34 + (a3 * b4);
-    c35 := !c35 + (a3 * b5);
-    c36 := !c36 + (a3 * b6);
-    c37 := !c37 + (a3 * b7)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c (o0 + 4) !c04;
-  Array.unsafe_set c (o0 + 5) !c05;
-  Array.unsafe_set c (o0 + 6) !c06;
-  Array.unsafe_set c (o0 + 7) !c07;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13;
-  Array.unsafe_set c (o1 + 4) !c14;
-  Array.unsafe_set c (o1 + 5) !c15;
-  Array.unsafe_set c (o1 + 6) !c16;
-  Array.unsafe_set c (o1 + 7) !c17;
-  Array.unsafe_set c o2 !c20;
-  Array.unsafe_set c (o2 + 1) !c21;
-  Array.unsafe_set c (o2 + 2) !c22;
-  Array.unsafe_set c (o2 + 3) !c23;
-  Array.unsafe_set c (o2 + 4) !c24;
-  Array.unsafe_set c (o2 + 5) !c25;
-  Array.unsafe_set c (o2 + 6) !c26;
-  Array.unsafe_set c (o2 + 7) !c27;
-  Array.unsafe_set c o3 !c30;
-  Array.unsafe_set c (o3 + 1) !c31;
-  Array.unsafe_set c (o3 + 2) !c32;
-  Array.unsafe_set c (o3 + 3) !c33;
-  Array.unsafe_set c (o3 + 4) !c34;
-  Array.unsafe_set c (o3 + 5) !c35;
-  Array.unsafe_set c (o3 + 6) !c36;
-  Array.unsafe_set c (o3 + 7) !c37
-
-let ki_3x8 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs
-    =
-  let o1 = o0 + cs in
-  let o2 = o1 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c04 = ref (Array.unsafe_get c (o0 + 4))
-  and c05 = ref (Array.unsafe_get c (o0 + 5))
-  and c06 = ref (Array.unsafe_get c (o0 + 6))
-  and c07 = ref (Array.unsafe_get c (o0 + 7))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c14 = ref (Array.unsafe_get c (o1 + 4))
-  and c15 = ref (Array.unsafe_get c (o1 + 5))
-  and c16 = ref (Array.unsafe_get c (o1 + 6))
-  and c17 = ref (Array.unsafe_get c (o1 + 7))
-  and c20 = ref (Array.unsafe_get c o2)
-  and c21 = ref (Array.unsafe_get c (o2 + 1))
-  and c22 = ref (Array.unsafe_get c (o2 + 2))
-  and c23 = ref (Array.unsafe_get c (o2 + 3))
-  and c24 = ref (Array.unsafe_get c (o2 + 4))
-  and c25 = ref (Array.unsafe_get c (o2 + 5))
-  and c26 = ref (Array.unsafe_get c (o2 + 6))
-  and c27 = ref (Array.unsafe_get c (o2 + 7)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 3) and b = uo + (k * 8) in
-    let a0 = Array.unsafe_get v a
-    and a1 = Array.unsafe_get v (a + 1)
-    and a2 = Array.unsafe_get v (a + 2) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3)
-    and b4 = Array.unsafe_get u (b + 4)
-    and b5 = Array.unsafe_get u (b + 5)
-    and b6 = Array.unsafe_get u (b + 6)
-    and b7 = Array.unsafe_get u (b + 7) in
-    c00 := !c00 + (a0 * b0);
-    c01 := !c01 + (a0 * b1);
-    c02 := !c02 + (a0 * b2);
-    c03 := !c03 + (a0 * b3);
-    c04 := !c04 + (a0 * b4);
-    c05 := !c05 + (a0 * b5);
-    c06 := !c06 + (a0 * b6);
-    c07 := !c07 + (a0 * b7);
-    c10 := !c10 + (a1 * b0);
-    c11 := !c11 + (a1 * b1);
-    c12 := !c12 + (a1 * b2);
-    c13 := !c13 + (a1 * b3);
-    c14 := !c14 + (a1 * b4);
-    c15 := !c15 + (a1 * b5);
-    c16 := !c16 + (a1 * b6);
-    c17 := !c17 + (a1 * b7);
-    c20 := !c20 + (a2 * b0);
-    c21 := !c21 + (a2 * b1);
-    c22 := !c22 + (a2 * b2);
-    c23 := !c23 + (a2 * b3);
-    c24 := !c24 + (a2 * b4);
-    c25 := !c25 + (a2 * b5);
-    c26 := !c26 + (a2 * b6);
-    c27 := !c27 + (a2 * b7)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c (o0 + 4) !c04;
-  Array.unsafe_set c (o0 + 5) !c05;
-  Array.unsafe_set c (o0 + 6) !c06;
-  Array.unsafe_set c (o0 + 7) !c07;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13;
-  Array.unsafe_set c (o1 + 4) !c14;
-  Array.unsafe_set c (o1 + 5) !c15;
-  Array.unsafe_set c (o1 + 6) !c16;
-  Array.unsafe_set c (o1 + 7) !c17;
-  Array.unsafe_set c o2 !c20;
-  Array.unsafe_set c (o2 + 1) !c21;
-  Array.unsafe_set c (o2 + 2) !c22;
-  Array.unsafe_set c (o2 + 3) !c23;
-  Array.unsafe_set c (o2 + 4) !c24;
-  Array.unsafe_set c (o2 + 5) !c25;
-  Array.unsafe_set c (o2 + 6) !c26;
-  Array.unsafe_set c (o2 + 7) !c27
-
-let ki_2x8 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs
-    =
-  let o1 = o0 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c04 = ref (Array.unsafe_get c (o0 + 4))
-  and c05 = ref (Array.unsafe_get c (o0 + 5))
-  and c06 = ref (Array.unsafe_get c (o0 + 6))
-  and c07 = ref (Array.unsafe_get c (o0 + 7))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c14 = ref (Array.unsafe_get c (o1 + 4))
-  and c15 = ref (Array.unsafe_get c (o1 + 5))
-  and c16 = ref (Array.unsafe_get c (o1 + 6))
-  and c17 = ref (Array.unsafe_get c (o1 + 7)) in
-  for k = 0 to kn - 1 do
-    let a = vo + (k * 2) and b = uo + (k * 8) in
-    let a0 = Array.unsafe_get v a and a1 = Array.unsafe_get v (a + 1) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3)
-    and b4 = Array.unsafe_get u (b + 4)
-    and b5 = Array.unsafe_get u (b + 5)
-    and b6 = Array.unsafe_get u (b + 6)
-    and b7 = Array.unsafe_get u (b + 7) in
-    c00 := !c00 + (a0 * b0);
-    c01 := !c01 + (a0 * b1);
-    c02 := !c02 + (a0 * b2);
-    c03 := !c03 + (a0 * b3);
-    c04 := !c04 + (a0 * b4);
-    c05 := !c05 + (a0 * b5);
-    c06 := !c06 + (a0 * b6);
-    c07 := !c07 + (a0 * b7);
-    c10 := !c10 + (a1 * b0);
-    c11 := !c11 + (a1 * b1);
-    c12 := !c12 + (a1 * b2);
-    c13 := !c13 + (a1 * b3);
-    c14 := !c14 + (a1 * b4);
-    c15 := !c15 + (a1 * b5);
-    c16 := !c16 + (a1 * b6);
-    c17 := !c17 + (a1 * b7)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c (o0 + 4) !c04;
-  Array.unsafe_set c (o0 + 5) !c05;
-  Array.unsafe_set c (o0 + 6) !c06;
-  Array.unsafe_set c (o0 + 7) !c07;
-  Array.unsafe_set c o1 !c10;
-  Array.unsafe_set c (o1 + 1) !c11;
-  Array.unsafe_set c (o1 + 2) !c12;
-  Array.unsafe_set c (o1 + 3) !c13;
-  Array.unsafe_set c (o1 + 4) !c14;
-  Array.unsafe_set c (o1 + 5) !c15;
-  Array.unsafe_set c (o1 + 6) !c16;
-  Array.unsafe_set c (o1 + 7) !c17
-
-let ki_1x8 (v : int array) vo (u : int array) uo kn (c : int array) o0
-    _cs =
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c04 = ref (Array.unsafe_get c (o0 + 4))
-  and c05 = ref (Array.unsafe_get c (o0 + 5))
-  and c06 = ref (Array.unsafe_get c (o0 + 6))
-  and c07 = ref (Array.unsafe_get c (o0 + 7)) in
-  for k = 0 to kn - 1 do
-    let b = uo + (k * 8) in
-    let a0 = Array.unsafe_get v (vo + k) in
-    let b0 = Array.unsafe_get u b
-    and b1 = Array.unsafe_get u (b + 1)
-    and b2 = Array.unsafe_get u (b + 2)
-    and b3 = Array.unsafe_get u (b + 3)
-    and b4 = Array.unsafe_get u (b + 4)
-    and b5 = Array.unsafe_get u (b + 5)
-    and b6 = Array.unsafe_get u (b + 6)
-    and b7 = Array.unsafe_get u (b + 7) in
-    c00 := !c00 + (a0 * b0);
-    c01 := !c01 + (a0 * b1);
-    c02 := !c02 + (a0 * b2);
-    c03 := !c03 + (a0 * b3);
-    c04 := !c04 + (a0 * b4);
-    c05 := !c05 + (a0 * b5);
-    c06 := !c06 + (a0 * b6);
-    c07 := !c07 + (a0 * b7)
-  done;
-  Array.unsafe_set c o0 !c00;
-  Array.unsafe_set c (o0 + 1) !c01;
-  Array.unsafe_set c (o0 + 2) !c02;
-  Array.unsafe_set c (o0 + 3) !c03;
-  Array.unsafe_set c (o0 + 4) !c04;
-  Array.unsafe_set c (o0 + 5) !c05;
-  Array.unsafe_set c (o0 + 6) !c06;
-  Array.unsafe_set c (o0 + 7) !c07
-
-let ki_gen ~mr ~nr (v : int array) vo (u : int array) uo kn (c : int array) o0
-    cs =
-  for k = 0 to kn - 1 do
-    let a = vo + (k * mr) and b = uo + (k * nr) in
-    for i = 0 to mr - 1 do
-      let ai = Array.unsafe_get v (a + i) in
-      let crow = o0 + (i * cs) in
-      for j = 0 to nr - 1 do
-        Array.unsafe_set c (crow + j)
-          (Array.unsafe_get c (crow + j) + (ai * Array.unsafe_get u (b + j)))
-      done
-    done
-  done
-
 (* ------------------------------------------------------ blocked driver *)
 
 (* [gemm ~mr ~nr ~kc ~rows_p ~cols_p ~k ...] updates the [rows_p × cols_p]
@@ -1144,28 +219,18 @@ let ki_gen ~mr ~nr (v : int array) vo (u : int array) uo kn (c : int array) o0
 
 let gemm_f32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : float array) ~vo
     ~(up : float array) ~uo ~(c : float array) ~co ~cstride =
-  let kern =
-    match (mr, nr) with
-    | 4, 4 -> kf_4x4
-    | 3, 4 -> kf_3x4
-    | 2, 4 -> kf_2x4
-    | 1, 4 -> kf_1x4
-    | 4, 8 -> kf_4x8
-    | 3, 8 -> kf_3x8
-    | 2, 8 -> kf_2x8
-    | 1, 8 -> kf_1x8
-    | _ -> kf_gen ~mr ~nr
-  in
-  let nib = rows_p / mr and njb = cols_p / nr in
+  check_block "gemm_f32" "mr" mr block.mr;
+  check_block "gemm_f32" "nr" nr block.nr;
+  let nib = rows_p / 4 and njb = cols_p / 4 in
   let k0 = ref 0 in
   while !k0 < k do
     let kn = min kc (k - !k0) in
     for jb = 0 to njb - 1 do
-      let ub = uo + (jb * k * nr) + (!k0 * nr) in
-      let cjb = co + (jb * nr) in
+      let ub = uo + (jb * k * 4) + (!k0 * 4) in
+      let cjb = co + (jb * 4) in
       for ib = 0 to nib - 1 do
-        let vb = vo + (ib * k * mr) + (!k0 * mr) in
-        kern vp vb up ub kn c (cjb + (ib * mr * cstride)) cstride
+        let vb = vo + (ib * k * 4) + (!k0 * 4) in
+        kf_4x4 vp vb up ub kn c (cjb + (ib * 4 * cstride)) cstride
       done
     done;
     k0 := !k0 + kn
@@ -1173,28 +238,18 @@ let gemm_f32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : float array) ~vo
 
 let gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : int array) ~vo
     ~(up : int array) ~uo ~(c : int array) ~co ~cstride =
-  let kern =
-    match (mr, nr) with
-    | 4, 4 -> ki_4x4
-    | 3, 4 -> ki_3x4
-    | 2, 4 -> ki_2x4
-    | 1, 4 -> ki_1x4
-    | 4, 8 -> ki_4x8
-    | 3, 8 -> ki_3x8
-    | 2, 8 -> ki_2x8
-    | 1, 8 -> ki_1x8
-    | _ -> ki_gen ~mr ~nr
-  in
-  let nib = rows_p / mr and njb = cols_p / nr in
+  check_block "gemm_i32" "mr" mr block.mr;
+  check_block "gemm_i32" "nr" nr block.nr;
+  let nib = rows_p / 4 and njb = cols_p / 4 in
   let k0 = ref 0 in
   while !k0 < k do
     let kn = min kc (k - !k0) in
     for jb = 0 to njb - 1 do
-      let ub = uo + (jb * k * nr) + (!k0 * nr) in
-      let cjb = co + (jb * nr) in
+      let ub = uo + (jb * k * 4) + (!k0 * 4) in
+      let cjb = co + (jb * 4) in
       for ib = 0 to nib - 1 do
-        let vb = vo + (ib * k * mr) + (!k0 * mr) in
-        kern vp vb up ub kn c (cjb + (ib * mr * cstride)) cstride
+        let vb = vo + (ib * k * 4) + (!k0 * 4) in
+        ki_4x4 vp vb up ub kn c (cjb + (ib * 4 * cstride)) cstride
       done
     done;
     k0 := !k0 + kn
@@ -1213,8 +268,8 @@ let gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : int array) ~vo
    columns over the packed panel — is the only granularity that reaches
    the >= 1.5x regime at d = 0.3.  [sparse] therefore stores, per output
    column, the ascending list of nonzero k rows (indices and values
-   compacted side by side); the MR-specialized kernels below keep the A
-   panel L1-resident across columns and stream the compacted pairs.
+   compacted side by side); the 4-row kernel below keeps the A panel
+   L1-resident across columns and streams the compacted pairs.
 
    Bit-identity: the products are integers, each skipped entry
    contributes an exact 0, and per C element the remaining products are
@@ -1266,9 +321,9 @@ let sparse_nnz sp = sp.sp_off.(sp.sp_cols)
 
 (* ------------------------------------------------------ sparse kernels *)
 
-(* [ks_MR v vo idx vals i0 i1 c o0 cs]: MR×1 compressed-column update.
+(* [ks_4 v vo idx vals i0 i1 c o0 cs]: 4×1 compressed-column update.
    Entries [i0, i1) of the compacted arrays belong to one output column;
-   [vo] points at k = 0 of the A panel slice (stride MR per k), [o0] at
+   [vo] points at k = 0 of the A panel slice (stride 4 per k), [o0] at
    the column's top C element, [cs] is C's row stride. *)
 
 let ks_4 (v : int array) vo (idx : int array) (vals : int array) i0 i1
@@ -1293,57 +348,6 @@ let ks_4 (v : int array) vo (idx : int array) (vals : int array) i0 i1
   Array.unsafe_set c o2 !c2;
   Array.unsafe_set c o3 !c3
 
-let ks_3 (v : int array) vo (idx : int array) (vals : int array) i0 i1
-    (c : int array) o0 cs =
-  let o1 = o0 + cs in
-  let o2 = o1 + cs in
-  let c0 = ref (Array.unsafe_get c o0)
-  and c1 = ref (Array.unsafe_get c o1)
-  and c2 = ref (Array.unsafe_get c o2) in
-  for i = i0 to i1 - 1 do
-    let a = vo + (Array.unsafe_get idx i * 3) in
-    let b = Array.unsafe_get vals i in
-    c0 := !c0 + (Array.unsafe_get v a * b);
-    c1 := !c1 + (Array.unsafe_get v (a + 1) * b);
-    c2 := !c2 + (Array.unsafe_get v (a + 2) * b)
-  done;
-  Array.unsafe_set c o0 !c0;
-  Array.unsafe_set c o1 !c1;
-  Array.unsafe_set c o2 !c2
-
-let ks_2 (v : int array) vo (idx : int array) (vals : int array) i0 i1
-    (c : int array) o0 cs =
-  let o1 = o0 + cs in
-  let c0 = ref (Array.unsafe_get c o0) and c1 = ref (Array.unsafe_get c o1) in
-  for i = i0 to i1 - 1 do
-    let a = vo + (Array.unsafe_get idx i * 2) in
-    let b = Array.unsafe_get vals i in
-    c0 := !c0 + (Array.unsafe_get v a * b);
-    c1 := !c1 + (Array.unsafe_get v (a + 1) * b)
-  done;
-  Array.unsafe_set c o0 !c0;
-  Array.unsafe_set c o1 !c1
-
-let ks_1 (v : int array) vo (idx : int array) (vals : int array) i0 i1
-    (c : int array) o0 _cs =
-  let c0 = ref (Array.unsafe_get c o0) in
-  for i = i0 to i1 - 1 do
-    c0 :=
-      !c0 + (Array.unsafe_get v (vo + Array.unsafe_get idx i) * Array.unsafe_get vals i)
-  done;
-  Array.unsafe_set c o0 !c0
-
-let ks_gen ~mr (v : int array) vo (idx : int array) (vals : int array) i0 i1
-    (c : int array) o0 cs =
-  for i = i0 to i1 - 1 do
-    let a = vo + (Array.unsafe_get idx i * mr) in
-    let b = Array.unsafe_get vals i in
-    for r = 0 to mr - 1 do
-      Array.unsafe_set c (o0 + (r * cs))
-        (Array.unsafe_get c (o0 + (r * cs)) + (Array.unsafe_get v (a + r) * b))
-    done
-  done
-
 (* [gemm_i32_sparse] updates the [rows_p × sp.sp_cols] block of C in
    place with A·B over the packed A panels and the compressed B panel.
    The A panel of each row block (k·MR ints) stays L1-resident while
@@ -1352,17 +356,15 @@ let ks_gen ~mr (v : int array) vo (idx : int array) (vals : int array) i0 i1
    once per row block in ascending-k order, preserving the dense fold. *)
 let gemm_i32_sparse ~mr ~rows_p ~(sp : sparse) ~(vp : int array) ~vo
     ~(c : int array) ~co ~cstride =
-  let kern =
-    match mr with 4 -> ks_4 | 3 -> ks_3 | 2 -> ks_2 | 1 -> ks_1 | _ -> ks_gen ~mr
-  in
-  let nib = rows_p / mr in
+  check_block "gemm_i32_sparse" "mr" mr block.mr;
+  let nib = rows_p / 4 in
   let k = sp.sp_k in
   let off = sp.sp_off and idx = sp.sp_idx and vals = sp.sp_val in
   for ib = 0 to nib - 1 do
-    let vb = vo + (ib * k * mr) in
-    let crow = co + (ib * mr * cstride) in
+    let vb = vo + (ib * k * 4) in
+    let crow = co + (ib * 4 * cstride) in
     for j = 0 to sp.sp_cols - 1 do
       let i0 = Array.unsafe_get off j and i1 = Array.unsafe_get off (j + 1) in
-      if i1 > i0 then kern vp vb idx vals i0 i1 c (crow + j) cstride
+      if i1 > i0 then ks_4 vp vb idx vals i0 i1 c (crow + j) cstride
     done
   done

@@ -1,6 +1,12 @@
 (** Register-tiled, cache-blocked GEMM microkernels for the per-tap
     Winograd GEMMs.
 
+    One fixed register block — MR = NR = 4, KC = 256 (see {!config}) —
+    with one dense float kernel, one dense int kernel and one sparse int
+    kernel. The drivers raise [Invalid_argument] naming the offending
+    value when handed any other [mr]/[nr]; [kc] is a real parameter
+    (the KC-panel fold works for any depth).
+
     Operands are *packed* panels, padded to full register blocks:
 
     - A (tiles): [ceil(rows/MR)] consecutive [K × MR] panels; element
@@ -21,32 +27,19 @@
 
 type cfg = { mr : int; nr : int; kc : int }
 
-val default_cfg : cfg
-(** Compiled defaults (MR=NR=4, KC=256), overridable at process start
-    via [TWQ_GEMM_MR] / [TWQ_GEMM_NR] / [TWQ_GEMM_KC]. A malformed or
-    non-positive override raises [Invalid_argument] naming the variable
-    and the offending value (fail fast at module initialization);
-    positive values outside the supported range are clamped. *)
-
 val config : unit -> cfg
-(** Current configuration. Drivers read it once per call, so a
-    mid-call change cannot desync packing from consumption. *)
-
-val set_config : ?mr:int -> ?nr:int -> ?kc:int -> unit -> unit
-(** Override fields of the current configuration (clamped to sane
-    ranges). Intended for tests and experiments; not thread-safe with
-    respect to in-flight convolutions. *)
-
-val reset_config : unit -> unit
-(** Restore [default_cfg] and the default sparse threshold. *)
+(** The register block every driver runs: [{mr = 4; nr = 4; kc = 256}].
+    It is a compile-time constant — there is no runtime or environment
+    override. Callers pack with [mr]/[nr] from here and pass all three
+    fields back to the drivers. *)
 
 val sparse_threshold : unit -> float
 (** Density cutoff for the compressed-panel path: a tap whose weight
     panel density is strictly below this is packed compressed (see
-    {!compress_panel}) by [Tapwise.pack]. Default 0.5, overridable at
-    process start via [TWQ_SPARSE_THRESHOLD]; malformed or
-    out-of-[0, 1] values raise [Invalid_argument] naming the variable
-    and value. 0.0 disables the sparse path entirely. *)
+    {!compress_panel}) by [Tapwise.pack]. Default 0.5; 0.0 disables the
+    sparse path entirely. This is process-global state: callers that
+    change it temporarily should restore the previous value in
+    [Fun.protect ~finally]. *)
 
 val set_sparse_threshold : float -> unit
 (** Override the sparse/dense cutoff. Raises [Invalid_argument] outside
@@ -73,7 +66,9 @@ val gemm_f32 :
 (** [gemm_f32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp ~vo ~up ~uo ~c ~co
     ~cstride] accumulates the [rows_p × cols_p] product of the packed
     panels at [vp+vo] / [up+uo] into [c] starting at [co]. [rows_p] and
-    [cols_p] must be multiples of [mr] and [nr] respectively. *)
+    [cols_p] must be multiples of [mr] and [nr] respectively; [k] is
+    processed in [kc]-deep panels. Raises [Invalid_argument] unless
+    [mr] and [nr] match {!config}. *)
 
 val gemm_i32 :
   mr:int ->
@@ -133,4 +128,5 @@ val gemm_i32_sparse :
     accumulates the [rows_p × sp.sp_cols] product of the packed A
     panels at [vp+vo] and the compressed B panel into [c] at [co] (row
     stride [cstride]). [rows_p] must be a multiple of [mr]. Bit-identical
-    to {!gemm_i32} on the panel [sp] was compressed from. *)
+    to {!gemm_i32} on the panel [sp] was compressed from. Raises
+    [Invalid_argument] unless [mr] matches {!config}. *)

@@ -186,10 +186,6 @@ let prop_tapwise =
 
 (* --------------- microkernel GEMM drivers vs naive [_ref] oracles *)
 
-let with_mk_config ~mr ~nr ~kc f =
-  Microkernel.set_config ~mr ~nr ~kc ();
-  Fun.protect ~finally:Microkernel.reset_config f
-
 let scale2_of v =
   let s = Transform.bt_scale v * Transform.g_scale v * Transform.at_scale v in
   s * s
@@ -237,77 +233,127 @@ let prop_micro_int_edge =
       let want = Kernels.conv2d_i32_exact_ref k ~scale2 ~pad ~x ~w:wt in
       Itensor.equal got want)
 
-(* Every register-block configuration — the specialized MRx4 and MRx8
-   kernels, the generic fallback, and KC smaller than Cin (17 channels
-   over kc = 8 forces three k-panels per GEMM, crossing the accumulator
-   load/store seam twice). *)
-let mk_config_sweep =
-  [ (4, 4, 256); (3, 4, 8); (2, 4, 16); (1, 4, 256); (4, 2, 8); (5, 5, 32);
-    (1, 1, 8); (4, 8, 256); (3, 8, 8); (2, 8, 16); (1, 8, 256) ]
+(* Driver-level fold order at the one register block: both GEMM drivers
+   must reproduce a naive ascending-k triple loop seeded from C, with k
+   up to 150 against kc drawn from 8..64 so most runs cross one or more
+   KC-panel seams, and a C row stride wider than the packed panel. *)
+let naive_gemm ~add ~mul ~rows_p ~cols_p ~k ~vp ~up ~c ~cstride =
+  let { Microkernel.mr; nr; _ } = Microkernel.config () in
+  for i = 0 to rows_p - 1 do
+    for j = 0 to cols_p - 1 do
+      let acc = ref c.((i * cstride) + j) in
+      for kk = 0 to k - 1 do
+        let a = vp.((((i / mr * k) + kk) * mr) + (i mod mr))
+        and b = up.((((j / nr * k) + kk) * nr) + (j mod nr)) in
+        acc := add !acc (mul a b)
+      done;
+      c.((i * cstride) + j) <- !acc
+    done
+  done
 
-let test_micro_config_sweep_int () =
+let prop_gemm_drivers =
+  QCheck2.Test.make ~count:80
+    ~name:"gemm_f32/gemm_i32 = naive ascending-k loop across KC seams"
+    QCheck2.Gen.(
+      tup5 (int_range 1 150) (int_range 8 64) (int_range 1 13)
+        (int_range 1 13) seed_gen)
+    (fun (k, kc, rows, cols, seed) ->
+      let rng = Twq_util.Rng.create seed in
+      let { Microkernel.mr; nr; _ } = Microkernel.config () in
+      let rows_p = Microkernel.round_up rows mr in
+      let cols_p = Microkernel.round_up cols nr in
+      let cstride = cols_p + 1 + Twq_util.Rng.int rng 5 in
+      let vi = Array.init (rows_p * k) (fun _ -> Twq_util.Rng.int rng 255 - 127)
+      and ui = Array.init (cols_p * k) (fun _ -> Twq_util.Rng.int rng 255 - 127)
+      and ci =
+        Array.init (rows_p * cstride) (fun _ -> Twq_util.Rng.int rng 2001 - 1000)
+      in
+      let vf = Array.map (fun x -> float_of_int x /. 7.0) vi
+      and uf = Array.map (fun x -> float_of_int x /. 13.0) ui
+      and cf = Array.map (fun x -> float_of_int x /. 3.0) ci in
+      let ci_want = Array.copy ci and cf_want = Array.copy cf in
+      naive_gemm ~add:( + ) ~mul:( * ) ~rows_p ~cols_p ~k ~vp:vi ~up:ui
+        ~c:ci_want ~cstride;
+      naive_gemm ~add:( +. ) ~mul:( *. ) ~rows_p ~cols_p ~k ~vp:vf ~up:uf
+        ~c:cf_want ~cstride;
+      Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp:vi ~vo:0 ~up:ui
+        ~uo:0 ~c:ci ~co:0 ~cstride;
+      Microkernel.gemm_f32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp:vf ~vo:0 ~up:uf
+        ~uo:0 ~c:cf ~co:0 ~cstride;
+      ci = ci_want && Array.for_all2 (fun x y -> x = y) cf cf_want)
+
+(* Cin = 260 exceeds the production KC = 256, so every per-tap GEMM
+   takes the two-panel path end to end: a 256-deep fold, then a 4-deep
+   one resuming from the stored partial. *)
+let cin_over_kc = 260
+
+let test_micro_cin_over_kc_int () =
   let rng = Twq_util.Rng.create 99 in
-  let x = itensor_of_rng rng [| 1; 17; 8; 9 |] in
-  let wt = itensor_of_rng rng [| 7; 17; 3; 3 |] in
+  let x = itensor_of_rng rng [| 1; cin_over_kc; 6; 7 |] in
+  let wt = itensor_of_rng rng [| 5; cin_over_kc; 3; 3 |] in
   let k = Kernels.i32_specialized Transform.F4 in
   let scale2 = scale2_of Transform.F4 in
   let want = Kernels.conv2d_i32_exact_ref k ~scale2 ~pad:1 ~x ~w:wt in
-  List.iter
-    (fun (mr, nr, kc) ->
-      with_mk_config ~mr ~nr ~kc (fun () ->
-          let got = Kernels.conv2d_i32_exact k ~scale2 ~pad:1 ~x ~w:wt in
-          Alcotest.(check bool)
-            (Printf.sprintf "mr=%d nr=%d kc=%d" mr nr kc)
-            true (Itensor.equal got want)))
-    mk_config_sweep
+  let got = Kernels.conv2d_i32_exact k ~scale2 ~pad:1 ~x ~w:wt in
+  Alcotest.(check bool) "conv2d_i32_exact" true (Itensor.equal got want)
 
-let test_micro_config_sweep_f32 () =
-  let rng = Twq_util.Rng.create 100 in
-  let x = tensor_of_rng rng [| 1; 17; 8; 9 |] in
-  let wt = tensor_of_rng rng [| 7; 17; 3; 3 |] in
-  let k = Kernels.f32_specialized Transform.F4 in
-  let want = Kernels.conv2d_f32_ref k ~pad:1 ~x ~w:wt in
-  List.iter
-    (fun (mr, nr, kc) ->
-      with_mk_config ~mr ~nr ~kc (fun () ->
-          let got = Kernels.conv2d_f32 k ~pad:1 ~x ~w:wt in
-          Alcotest.(check bool)
-            (Printf.sprintf "mr=%d nr=%d kc=%d" mr nr kc)
-            true (float_eq got want)))
-    mk_config_sweep
-
-(* [Tapwise.pack] captures the packing geometry at pack time; the packed
-   forward must agree with the tile-major oracle under every block
-   configuration (including packing under one config — the oracle does
-   not depend on it). *)
-let test_micro_config_sweep_tapwise () =
+let test_micro_cin_over_kc_tapwise () =
   let rng = Twq_util.Rng.create 101 in
-  let w = Tensor.rand_gaussian rng [| 6; 5; 3; 3 |] ~mu:0.0 ~sigma:0.5 in
-  let samples = [ tensor_of_rng rng [| 1; 5; 10; 10 |] ] in
+  let w =
+    Tensor.rand_gaussian rng [| 6; cin_over_kc; 3; 3 |] ~mu:0.0 ~sigma:0.5
+  in
+  let samples = [ tensor_of_rng rng [| 1; cin_over_kc; 6; 6 |] ] in
   let config = Tapwise.default_config Transform.F4 in
   let l = Tapwise.calibrate ~config ~w ~sample_inputs:samples ~pad:1 () in
-  let x = tensor_of_rng rng [| 1; 5; 10; 10 |] in
+  let x = tensor_of_rng rng [| 1; cin_over_kc; 6; 6 |] in
   let xi =
     Quantizer.quantize_tensor ~bits:config.Tapwise.act_bits ~scale:l.Tapwise.s_x
       x
   in
   let want = Tapwise.forward_int_ref l xi in
+  Alcotest.(check bool) "forward_int" true
+    (Itensor.equal (Tapwise.forward_int l xi) want)
+
+(* A register block other than the compiled one is a caller bug: the
+   drivers must reject it with a message naming the offending value. *)
+let test_micro_block_rejected () =
+  let zf = [| 0.0 |] and zi = [| 0 |] in
+  let sp = Microkernel.compress_panel ~nr:4 ~k:1 ~cols:4 [| 0; 0; 0; 0 |] ~uo:0 in
+  let expect name field v f =
+    Alcotest.check_raises
+      (Printf.sprintf "%s %s=%d" name field v)
+      (Invalid_argument
+         (Printf.sprintf "Microkernel.%s: %s = %d, only %s = 4 is supported"
+            name field v field))
+      f
+  in
   List.iter
-    (fun (mr, nr, kc) ->
-      with_mk_config ~mr ~nr ~kc (fun () ->
-          let got = Tapwise.forward_int l xi in
-          Alcotest.(check bool)
-            (Printf.sprintf "mr=%d nr=%d kc=%d" mr nr kc)
-            true (Itensor.equal got want)))
-    mk_config_sweep
+    (fun v ->
+      expect "gemm_f32" "mr" v (fun () ->
+          Microkernel.gemm_f32 ~mr:v ~nr:4 ~kc:256 ~rows_p:0 ~cols_p:0 ~k:0
+            ~vp:zf ~vo:0 ~up:zf ~uo:0 ~c:zf ~co:0 ~cstride:0);
+      expect "gemm_f32" "nr" v (fun () ->
+          Microkernel.gemm_f32 ~mr:4 ~nr:v ~kc:256 ~rows_p:0 ~cols_p:0 ~k:0
+            ~vp:zf ~vo:0 ~up:zf ~uo:0 ~c:zf ~co:0 ~cstride:0);
+      expect "gemm_i32" "mr" v (fun () ->
+          Microkernel.gemm_i32 ~mr:v ~nr:4 ~kc:256 ~rows_p:0 ~cols_p:0 ~k:0
+            ~vp:zi ~vo:0 ~up:zi ~uo:0 ~c:zi ~co:0 ~cstride:0);
+      expect "gemm_i32" "nr" v (fun () ->
+          Microkernel.gemm_i32 ~mr:4 ~nr:v ~kc:256 ~rows_p:0 ~cols_p:0 ~k:0
+            ~vp:zi ~vo:0 ~up:zi ~uo:0 ~c:zi ~co:0 ~cstride:0);
+      expect "gemm_i32_sparse" "mr" v (fun () ->
+          Microkernel.gemm_i32_sparse ~mr:v ~rows_p:0 ~sp ~vp:zi ~vo:0 ~c:zi
+            ~co:0 ~cstride:0))
+    [ 1; 2; 3; 5; 8 ]
 
 (* --------------------- compressed-panel sparse GEMM vs dense driver *)
 
 module Pruning = Twq_quant.Pruning
 
 let with_sparse_threshold t f =
+  let saved = Microkernel.sparse_threshold () in
   Microkernel.set_sparse_threshold t;
-  Fun.protect ~finally:Microkernel.reset_config f
+  Fun.protect ~finally:(fun () -> Microkernel.set_sparse_threshold saved) f
 
 (* Driver-level bit-identity: a random NR-packed B panel at a random
    density, compressed, must accumulate exactly what the dense driver
@@ -315,9 +361,7 @@ let with_sparse_threshold t f =
    than the panel. *)
 let sparse_gemm_gen =
   QCheck2.Gen.(
-    tup6 (int_range 1 5)
-      (oneofl [ 1; 2; 4; 8 ])
-      (int_range 1 40) (int_range 1 24)
+    tup4 (int_range 1 40) (int_range 1 24)
       (oneofl [ 0.0; 0.1; 0.3; 0.5; 0.9 ])
       seed_gen)
 
@@ -325,8 +369,9 @@ let prop_sparse_gemm =
   QCheck2.Test.make ~count:100
     ~name:"gemm_i32_sparse = gemm_i32 on the compressed panel"
     sparse_gemm_gen
-    (fun (mr, nr, k, cols, density, seed) ->
+    (fun (k, cols, density, seed) ->
       let rng = Twq_util.Rng.create seed in
+      let { Microkernel.mr; nr; _ } = Microkernel.config () in
       let rows = 1 + Twq_util.Rng.int rng 40 in
       let kc = 8 + Twq_util.Rng.int rng 64 in
       let rows_p = Microkernel.round_up rows mr in
@@ -468,6 +513,7 @@ let () =
         prop_tapwise;
         prop_micro_f32_edge;
         prop_micro_int_edge;
+        prop_gemm_drivers;
         prop_sparse_gemm;
         prop_tapwise_sparse;
       ]
@@ -477,12 +523,12 @@ let () =
       ("qcheck", qsuite);
       ( "microkernel",
         [
-          Alcotest.test_case "int config sweep = ref" `Quick
-            test_micro_config_sweep_int;
-          Alcotest.test_case "f32 config sweep = ref" `Quick
-            test_micro_config_sweep_f32;
-          Alcotest.test_case "tapwise config sweep = ref" `Quick
-            test_micro_config_sweep_tapwise;
+          Alcotest.test_case "int Cin > KC = ref" `Quick
+            test_micro_cin_over_kc_int;
+          Alcotest.test_case "tapwise Cin > KC = ref" `Quick
+            test_micro_cin_over_kc_tapwise;
+          Alcotest.test_case "other register blocks rejected" `Quick
+            test_micro_block_rejected;
         ] );
       ( "sparse",
         [

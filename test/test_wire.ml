@@ -456,9 +456,10 @@ let test_daemon_sparse_bit_identical () =
   let dir = tmp_dir "twq_wire_sp" in
   let sock = Filename.temp_file "twq_wire_sp" ".sock" in
   Sys.remove sock;
+  let saved_threshold = Microkernel.sparse_threshold () in
   Fun.protect
     ~finally:(fun () ->
-      Microkernel.reset_config ();
+      Microkernel.set_sparse_threshold saved_threshold;
       rm_rf dir;
       if Sys.file_exists sock then Sys.remove sock)
     (fun () ->
