@@ -123,7 +123,11 @@ let xq_par =
 let gconv_once () =
   ignore (Twq.Winograd.Gconv.conv2d gconv44 ~pad:1 ~x:x_par ~w:w_par ())
 
-let qconv_once () = ignore (Twq.Quant.Qconv.forward_int qconv_layer xq_par)
+let qconv_packed = Twq.Quant.Qconv.pack qconv_layer
+let qconv_out = Twq.Itensor.zeros [| 2; 16; 24; 24 |]
+
+let qconv_once () =
+  Twq.Quant.Qconv.forward_int_into qconv_packed xq_par ~out:qconv_out
 
 let winof4_once () =
   ignore (Twq.Winograd.Conv.conv2d ~variant:T.F4 ~pad:1 ~x:x_par ~w:w_par ())
@@ -271,6 +275,38 @@ let sparse_gemm_pair density tag =
       fun () ->
         MK.gemm_i32 ~mr ~nr ~kc ~rows_p:gemm_rows_p ~cols_p ~k:gemm_k ~vp
           ~vo:0 ~up ~uo:0 ~c ~co:0 ~cstride:cols_p );
+  ]
+
+(* ------------ paired packed-GEMM vs direct-loop strided int8 conv *)
+(* ResNet-20's first stage boundary: 16→32 channels, 3×3, stride 2, on
+   a 32×32 map, batch 2.  The -packed row is the planner's spatial path
+   (im2col blocks into one microkernel GEMM each, weights packed once
+   here); the -direct row is the per-MAC oracle loop
+   [Qconv.forward_int].  Both single-domain, so the pair prices the
+   kernel alone. *)
+
+let qconv_s2_pair () =
+  let r = Twq.Rng.create 61 in
+  let w = Tensor.rand_gaussian r [| 32; 16; 3; 3 |] ~mu:0.0 ~sigma:0.3 in
+  let x = Tensor.rand_gaussian r [| 2; 16; 32; 32 |] ~mu:0.0 ~sigma:1.0 in
+  let l =
+    Twq.Quant.Qconv.calibrate ~pow2:true ~w ~sample_inputs:[ x ] ~stride:2
+      ~pad:1 ()
+  in
+  let xi =
+    Twq.Quant.Quantizer.quantize_tensor ~bits:8 ~scale:l.Twq.Quant.Qconv.s_x x
+  in
+  let p = Twq.Quant.Qconv.pack l in
+  let out = Twq.Itensor.zeros [| 2; 32; 16; 16 |] in
+  [
+    ( "qconv-s2-packed",
+      fun () ->
+        Parallel.sequential (fun () ->
+            Twq.Quant.Qconv.forward_int_into p xi ~out) );
+    ( "qconv-s2-direct",
+      fun () ->
+        Parallel.sequential (fun () ->
+            ignore (Twq.Quant.Qconv.forward_int l xi)) );
   ]
 
 (* ---------------------- paired batch-1 vs batch-N serving episodes *)
@@ -517,6 +553,8 @@ let kernels : (string * (unit -> unit)) list =
   @ sparse_gemm_pair 0.5 "d50"
   @ sparse_graph_pair 0.3 "d30"
   @ sparse_graph_pair 0.5 "d50"
+  (* The strided spatial conv on the packed GEMM vs the direct loop. *)
+  @ qconv_s2_pair ()
   (* Fleet serving hot paths: one full wire frame encode+decode of a
      shard-sized inference request, and the router's per-request ring
      walk over a fleet-sized ring. *)
@@ -703,6 +741,8 @@ let tier1 =
     "tapwise-gemm-dense-d30";
     "intgraph-resnet20-sparse-d30";
     "intgraph-resnet20-dense-d30";
+    (* Only the packed row gates: the direct loop is the oracle. *)
+    "qconv-s2-packed";
   ]
 
 (* Regression gate: prints a table of old-vs-new means, then annotates

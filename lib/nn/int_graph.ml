@@ -26,8 +26,9 @@ type inode = { iop : iop; inputs : int list; scale : float }
 
 type t = { inodes : inode array; out : int; plans : Plan.cache option }
 
-(* Lower the graph to the planner IR once at load time: Winograd layers
-   are pre-packed and the GAP→Linear head becomes an explicit [P_head].
+(* Lower the graph to the planner IR once at load time: Winograd and
+   spatial layers are pre-packed (once, shared by every batch size's
+   plan) and the GAP→Linear head becomes an explicit [P_head].
    Graphs whose output is not a head (possible only through hand-edited
    serialized files) keep [plans = None] and run on the interpreter. *)
 let lower inodes out =
@@ -40,7 +41,7 @@ let lower inodes out =
               match iop with
               | IInput s -> Plan.P_quantize s
               | IWino l -> Plan.P_wino (Tapwise.pack l)
-              | ISpatial l -> Plan.P_spatial l
+              | ISpatial l -> Plan.P_spatial (Qconv.pack l)
               | IRelu -> Plan.P_relu
               | ILeaky k -> Plan.P_leaky k
               | IMax_pool { k; stride } -> Plan.P_max_pool { k; stride }

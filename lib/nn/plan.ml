@@ -39,7 +39,7 @@ module Kernels = Twq_winograd.Kernels
 type prim =
   | P_quantize of float  (* float input -> int8 at the given scale *)
   | P_wino of Tapwise.packed
-  | P_spatial of Qconv.layer
+  | P_spatial of Qconv.packed
   | P_relu
   | P_leaky of int
   | P_max_pool of { k : int; stride : int }
@@ -68,7 +68,7 @@ let no_epi = { e_relu = false; e_add = None }
 type step =
   | S_quantize of { scale : float; dst : int }
   | S_wino of { p : Tapwise.packed; src : int; dst : int; epi : epi_spec }
-  | S_spatial of { l : Qconv.layer; src : int; dst : int; epi : epi_spec }
+  | S_spatial of { p : Qconv.packed; src : int; dst : int; epi : epi_spec }
   | S_relu of { src : int; dst : int }
   | S_leaky of { k : int; src : int; dst : int }
   | S_max_pool of { k : int; stride : int; src : int; dst : int }
@@ -136,7 +136,8 @@ let infer_shapes pnodes ~input_shape =
               Shape.conv2d_out ~h ~w ~kh:3 ~kw:3 ~stride:1 ~pad:l.Tapwise.pad
             in
             [| n; cout; ho; wo |]
-        | P_spatial l ->
+        | P_spatial p ->
+            let l = Qconv.packed_layer p in
             let n, _, h, w = dims (arg 0) in
             let cout = Itensor.dim l.Qconv.wq 0 in
             let kh = Itensor.dim l.Qconv.wq 2 and kw = Itensor.dim l.Qconv.wq 3 in
@@ -262,10 +263,10 @@ let compile program ~input_shape =
                 dst = i;
                 epi = { e_relu = epi_relu.(i); e_add = epi_add.(i) };
               }
-        | P_spatial l ->
+        | P_spatial p ->
             S_spatial
               {
-                l;
+                p;
                 src = arg 0;
                 dst = i;
                 epi = { e_relu = epi_relu.(i); e_add = epi_add.(i) };
@@ -478,8 +479,10 @@ let exec_step t d x s st =
          NR-packed Winograd weight panel from [Tapwise.pack]. *)
       Tapwise.forward_int_into ~epilogue:d.epi.(s) p d.view.(src)
         ~out:d.view.(dst)
-  | S_spatial { l; src; dst; _ } ->
-      Qconv.forward_int_into ~epilogue:d.epi.(s) l d.view.(src)
+  | S_spatial { p; src; dst; _ } ->
+      (* The im2col GEMM path on the same microkernel: [p] carries the
+         NR-packed weight panel from [Qconv.pack]. *)
+      Qconv.forward_int_into ~epilogue:d.epi.(s) p d.view.(src)
         ~out:d.view.(dst)
   | S_relu { src; dst } ->
       let sd = d.view.(src).Itensor.data and dd = d.view.(dst).Itensor.data in

@@ -30,13 +30,14 @@ module Qconv = Twq_quant.Qconv
 (** {1 Program IR}
 
     A lowered, execution-ready form of an integer graph: convolutions
-    are pre-packed ({!Tapwise.pack}), scales are resolved to shifts, and
-    the float head carries its own dequantization scale. *)
+    are pre-packed ({!Tapwise.pack}, {!Qconv.pack}), scales are resolved
+    to shifts, and the float head carries its own dequantization
+    scale. *)
 
 type prim =
   | P_quantize of float  (** float NCHW input → int8 at the given scale *)
   | P_wino of Tapwise.packed
-  | P_spatial of Qconv.layer
+  | P_spatial of Qconv.packed
   | P_relu
   | P_leaky of int  (** negative slope = 2{^-k} *)
   | P_max_pool of { k : int; stride : int }

@@ -104,7 +104,24 @@ let complete t ticket outcome =
   Condition.broadcast ticket.cell_cond;
   Mutex.unlock ticket.cell_mutex
 
-let run_batch t tickets ~opened =
+(* [staging.(n - 1)] is this worker's input tensor for batches of [n],
+   allocated on first use and reused for every later batch of that size.
+   A fresh tensor per batch would be a major-heap allocation (one image
+   is above the minor-heap size limit), and the major GC barely advances
+   while clients idle in [await], so the heap would grow with every
+   request served. *)
+let staging_for t staging n =
+  match staging.(n - 1) with
+  | Some xb -> xb
+  | None ->
+      let xb =
+        Tensor.zeros
+          [| n; t.input_dims.(0); t.input_dims.(1); t.input_dims.(2) |]
+      in
+      staging.(n - 1) <- Some xb;
+      xb
+
+let run_batch t staging tickets ~opened =
   let dispatch = now () in
   let m = t.metrics in
   List.iter
@@ -130,10 +147,7 @@ let run_batch t tickets ~opened =
     Metrics.Histogram.observe m.Metrics.batch_size (float_of_int n *. 1e-9);
     Metrics.Histogram.observe m.Metrics.batch_assembly (dispatch -. opened);
     match
-      let xb =
-        Tensor.zeros
-          [| n; t.input_dims.(0); t.input_dims.(1); t.input_dims.(2) |]
-      in
+      let xb = staging_for t staging n in
       List.iteri
         (fun i ticket ->
           Array.blit ticket.input.Tensor.data 0 xb.Tensor.data (i * t.numel)
@@ -186,11 +200,12 @@ let run_batch t tickets ~opened =
   end
 
 let worker t () =
+  let staging = Array.make t.config.max_batch None in
   let rec loop () =
     match Batcher.next_batch t.batcher with
     | None -> ()
     | Some (tickets, opened) ->
-        run_batch t tickets ~opened;
+        run_batch t staging tickets ~opened;
         loop ()
   in
   loop ()

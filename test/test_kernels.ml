@@ -16,6 +16,7 @@ module Microkernel = Twq_winograd.Microkernel
 module Conv = Twq_winograd.Conv
 module Gconv = Twq_winograd.Gconv
 module Tapwise = Twq_quant.Tapwise
+module Qconv = Twq_quant.Qconv
 module Quantizer = Twq_quant.Quantizer
 
 let with_domains n f =
@@ -282,6 +283,66 @@ let prop_gemm_drivers =
         ~uo:0 ~c:cf ~co:0 ~cstride;
       ci = ci_want && Array.for_all2 (fun x y -> x = y) cf cf_want)
 
+(* --------------- packed im2col GEMM spatial conv vs the direct loop *)
+
+(* The packed [Qconv.forward_int_into] against the direct-loop oracle
+   [Qconv.forward_int] followed by the same elementwise epilogue.  Cin
+   is drawn either small or just past KC / (kh·kw), so K = cin·kh·kw
+   lands on both sides of the KC = 256 seam; cout 1..9 straddles NR and
+   n·ho·wo straddles MR and the 32-row block; scales are layer- or
+   channel-wise, with or without bias; the epilogue is a plain store,
+   ReLU, a residual add, or both; the pool runs with 1 or 4 domains. *)
+let prop_qconv_packed =
+  QCheck2.Test.make ~count:60
+    ~name:"packed qconv forward_int_into = direct loop"
+    QCheck2.Gen.(
+      tup6 (oneofl [ 1; 2 ]) (oneofl [ 1; 3 ]) (oneofl [ 0; 1 ]) bool
+        (oneofl [ 1; 4 ]) seed_gen)
+    (fun (stride, k, pad, big_k, nd, seed) ->
+      let rng = Twq_util.Rng.create seed in
+      let cin =
+        if big_k then ((256 + (k * k)) / (k * k)) + Twq_util.Rng.int rng 4
+        else 1 + Twq_util.Rng.int rng 9
+      in
+      let cout = 1 + Twq_util.Rng.int rng 9 in
+      let n = 1 + Twq_util.Rng.int rng 3 in
+      let h = 3 + Twq_util.Rng.int rng 9 and wd = 3 + Twq_util.Rng.int rng 9 in
+      let w =
+        Tensor.rand_gaussian rng [| cout; cin; k; k |] ~mu:0.0 ~sigma:0.3
+      in
+      let bias =
+        if Twq_util.Rng.int rng 2 = 0 then None
+        else Some (Tensor.rand_gaussian rng [| cout |] ~mu:0.0 ~sigma:0.2)
+      in
+      let x = tensor_of_rng rng [| n; cin; h; wd |] in
+      let l =
+        Qconv.calibrate ~per_channel:(Twq_util.Rng.int rng 2 = 0) ~w ?bias
+          ~sample_inputs:[ x ] ~stride ~pad ()
+      in
+      let xi = Quantizer.quantize_tensor ~bits:8 ~scale:l.Qconv.s_x x in
+      let want = Qconv.forward_int l xi in
+      let numel = Array.length want.Itensor.data in
+      let add =
+        if Twq_util.Rng.int rng 2 = 0 then None
+        else
+          Some
+            {
+              Kernels.other =
+                Array.init numel (fun _ -> Twq_util.Rng.int rng 255 - 127);
+              shift_self = Twq_util.Rng.int rng 2;
+              shift_other = Twq_util.Rng.int rng 2;
+              bits = 8;
+            }
+      in
+      let epilogue = { Kernels.relu = Twq_util.Rng.int rng 2 = 0; add } in
+      Array.iteri
+        (fun off v -> Kernels.epilogue_store epilogue want.Itensor.data off v)
+        (Array.copy want.Itensor.data);
+      let got = Itensor.zeros want.Itensor.shape in
+      with_domains nd (fun () ->
+          Qconv.forward_int_into ~epilogue (Qconv.pack l) xi ~out:got);
+      Itensor.equal got want)
+
 (* Cin = 260 exceeds the production KC = 256, so every per-tap GEMM
    takes the two-panel path end to end: a 256-deep fold, then a 4-deep
    one resuming from the stored partial. *)
@@ -516,6 +577,7 @@ let () =
         prop_gemm_drivers;
         prop_sparse_gemm;
         prop_tapwise_sparse;
+        prop_qconv_packed;
       ]
   in
   Alcotest.run "kernels"

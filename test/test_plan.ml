@@ -140,6 +140,30 @@ let test_resnet20_bit_identical () =
   Alcotest.check tensor_exact "planned (4 domains) == run_ref"
     (Int_graph.run_ref iq x) par
 
+(* Full-width ResNet-20 (16/32/64 channels): the stride-2 3×3 convs and
+   1×1 projections run the packed im2col GEMM, and the 32→64 3×3 one
+   has K = 32·9 = 288, across the KC = 256 seam.  Batch 3 leaves output
+   pixel counts that are not multiples of the GEMM row block. *)
+let test_resnet20_full_width () =
+  let iq, _ = resnet20_graph ~width_div:1 ~seed:15 () in
+  List.iter
+    (fun n ->
+      let x =
+        Tensor.rand_gaussian (Rng.create (200 + n)) [| n; 3; 8; 8 |] ~mu:0.0
+          ~sigma:1.0
+      in
+      let reference = Int_graph.run_ref iq x in
+      Alcotest.check tensor_exact
+        (Printf.sprintf "batch %d planned == run_ref" n)
+        reference (Int_graph.run iq x);
+      Parallel.set_num_domains 4;
+      let par = Int_graph.run iq x in
+      Parallel.clear_num_domains_override ();
+      Alcotest.check tensor_exact
+        (Printf.sprintf "batch %d planned (4 domains) == run_ref" n)
+        reference par)
+    [ 1; 3; 8 ]
+
 let test_resnet20_plan_shape () =
   let iq, x = resnet20_graph ~seed:12 () in
   let c = Option.get (Int_graph.plans iq) in
@@ -216,6 +240,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_planned_matches_interpreter;
           Alcotest.test_case "resnet20 planned == run_ref" `Quick
             test_resnet20_bit_identical;
+          Alcotest.test_case "full-width resnet20 planned == run_ref" `Quick
+            test_resnet20_full_width;
           Alcotest.test_case "deploy planned == forward_ref" `Quick
             test_deploy_planned_matches_ref;
         ] );

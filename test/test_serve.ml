@@ -7,6 +7,7 @@
 
 module Tensor = Twq_tensor.Tensor
 module Rng = Twq_util.Rng
+module Parallel = Twq_util.Parallel
 module Crc32 = Twq_util.Crc32
 module Checkpoint = Twq_util.Checkpoint
 module Metrics = Twq_serve.Metrics
@@ -223,6 +224,78 @@ let test_loadgen_closed_loop () =
   in
   Alcotest.(check bool) "summary json has completed count" true
     (contains "\"completed\": 20")
+
+(* A model that is cheap to run on a large image: one 4×4 stride-4
+   conv (3→4 channels) into the GAP→Linear head. *)
+let large_input_model () =
+  let rng = Rng.create 17 in
+  let g = Twq_nn.Graph.create () in
+  let x = Twq_nn.Graph.input g in
+  let c =
+    Twq_nn.Graph.add g
+      (Twq_nn.Graph.Conv
+         {
+           w = Tensor.rand_gaussian rng [| 4; 3; 4; 4 |] ~mu:0.0 ~sigma:0.3;
+           bias = None;
+           stride = 4;
+           pad = 0;
+         })
+      [ x ]
+  in
+  let gap = Twq_nn.Graph.add g Twq_nn.Graph.Global_avg_pool [ c ] in
+  let fc =
+    Twq_nn.Graph.add g
+      (Twq_nn.Graph.Linear
+         { w = Tensor.rand_gaussian rng [| 2; 4 |] ~mu:0.0 ~sigma:0.5;
+           bias = None })
+      [ gap ]
+  in
+  Twq_nn.Graph.set_output g fc;
+  let dims = [| 3; 128; 128 |] in
+  let cal =
+    Tensor.rand_gaussian rng (Array.append [| 1 |] dims) ~mu:0.0 ~sigma:1.0
+  in
+  (Model.Graph (Twq_nn.Int_graph.quantize g ~calibration:cal ()), dims)
+
+(* Steady-state serving must not grow the heap.  Each batch input here
+   (3×128×128 floats, 49152 words) is far above the minor-heap size
+   limit, so a per-batch staging tensor would go straight to the major
+   heap, which the GC barely advances while the only other domain idles
+   in [await]: 400 batches would grow [heap_words] by many inputs.  With
+   the staging tensors reused per worker, it must grow by less than
+   one.  What does still grow comes in whole 4096-word pools (request
+   bookkeeping promoted by minor collections), hence the large input.
+   The kernel pool is pinned to one domain: with more, per-domain
+   arenas fill in lazily as chunks first land on each domain, which
+   says nothing about the server. *)
+let test_staging_heap_flat () =
+  Parallel.set_num_domains 1;
+  Fun.protect ~finally:Parallel.clear_num_domains_override @@ fun () ->
+  let model, dims = large_input_model () in
+  let config =
+    { Server.default_config with Server.max_batch = 1; max_delay = 0.0 }
+  in
+  let server = Server.for_model ~config model ~input_dims:dims () in
+  let inputs = Array.init 4 (fun i -> rand_input ~dims (700 + i)) in
+  let serve count =
+    for i = 0 to count - 1 do
+      match Server.await (Server.submit server inputs.(i mod 4)) with
+      | Server.Output _ -> ()
+      | o -> Alcotest.failf "request %d: %s" i (Server.outcome_label o)
+    done
+  in
+  serve 50;
+  (* Finish the major cycle earlier tests left running, so pools their
+     garbage still holds do not count against this loop. *)
+  Gc.full_major ();
+  let h0 = (Gc.quick_stat ()).Gc.heap_words in
+  serve 400;
+  let h1 = (Gc.quick_stat ()).Gc.heap_words in
+  Server.shutdown server;
+  let input_words = Array.fold_left ( * ) 1 dims in
+  if h1 - h0 >= input_words then
+    Alcotest.failf "heap grew %d words over 400 batches (one input is %d)"
+      (h1 - h0) input_words
 
 (* -------------------------------------------------------------- batcher *)
 
@@ -582,6 +655,8 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
           Alcotest.test_case "loadgen closed loop" `Quick
             test_loadgen_closed_loop;
+          Alcotest.test_case "steady state keeps the heap flat" `Quick
+            test_staging_heap_flat;
         ] );
       ( "batcher",
         [
