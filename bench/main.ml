@@ -145,19 +145,22 @@ let netsim_once () =
    multicore hosts, real scaling. *)
 let par_domains = Stdlib.max 2 (Stdlib.min 4 (Parallel.num_domains ()))
 
+let sequential name f = (name, fun () -> Parallel.sequential f)
+
 let paired name f =
   [
-    (name ^ "-seq", fun () -> Parallel.sequential f);
+    sequential (name ^ "-seq") f;
     ( name ^ "-par",
       fun () ->
         Parallel.set_num_domains par_domains;
         Fun.protect ~finally:Parallel.clear_num_domains_override f );
   ]
 
-(* ------------------------- paired tile-major vs tap-major kernel runs *)
-(* Same workload through the reference (tile-major, per-tile tensors) and
-   production (tap-major, allocation-free Kernels) paths; both run
-   sequentially so the pair isolates the kernel reformulation itself. *)
+(* ------------------------------- sequential tap-major kernel runs *)
+(* Production tap-major (allocation-free Kernels) convolutions on one
+   domain, so each row times the kernel itself, not the pool.  The
+   tap-wise layer is also timed through its tile-major oracle
+   [forward_int_ref]. *)
 
 let xi_par =
   Twq.Itensor.init [| 2; 16; 24; 24 |] (fun _ -> Twq.Rng.int rng 255 - 127)
@@ -180,17 +183,10 @@ let xi_tapwise =
 let gconv45 = Twq.Winograd.Gconv.create ~m:4 ~r:5 ()
 let w45_par = Tensor.rand_gaussian rng [| 16; 16; 5; 5 |] ~mu:0.0 ~sigma:0.2
 
-let tap_vs_tile name tap tile =
-  [
-    (name ^ "-tap", fun () -> Parallel.sequential tap);
-    (name ^ "-tile", fun () -> Parallel.sequential tile);
-  ]
-
-(* ------------------- paired microkernel vs naive per-tap GEMM runs *)
+(* ------------------------------ sequential microkernel GEMM runs *)
 (* ResNet-ish shape (Cin = Cout = 64, 16x16) where the per-tap GEMM
-   dominates: the tap-major driver with the register-tiled Microkernel
-   engine against the naive triple-loop [_ref] oracle.  Both sequential,
-   so the pair isolates the GEMM blocking itself. *)
+   dominates: the tap-major drivers with the register-tiled Microkernel
+   engine, run sequentially. *)
 
 module WK = Twq.Winograd.Kernels
 
@@ -226,12 +222,6 @@ let rns_plan_f6 =
   match Rns.suggest_basis ~m:6 ~r:3 ~cin:64 () with
   | Ok basis -> Rns.plan_exn ~m:6 ~r:3 ~basis ~cin:64 ()
   | Error e -> failwith (Rns.error_to_string e)
-
-let micro_vs_naive name micro naive =
-  [
-    (name ^ "-micro", fun () -> Parallel.sequential micro);
-    (name ^ "-naive", fun () -> Parallel.sequential naive);
-  ]
 
 (* --------------------- paired sparse vs dense pruned per-tap GEMMs *)
 (* The compressed-panel driver against the register-tiled dense GEMM on
@@ -299,14 +289,10 @@ let qconv_s2_pair () =
   let p = Twq.Quant.Qconv.pack l in
   let out = Twq.Itensor.zeros [| 2; 32; 16; 16 |] in
   [
-    ( "qconv-s2-packed",
-      fun () ->
-        Parallel.sequential (fun () ->
-            Twq.Quant.Qconv.forward_int_into p xi ~out) );
-    ( "qconv-s2-direct",
-      fun () ->
-        Parallel.sequential (fun () ->
-            ignore (Twq.Quant.Qconv.forward_int l xi)) );
+    sequential "qconv-s2-packed" (fun () ->
+        Twq.Quant.Qconv.forward_int_into p xi ~out);
+    sequential "qconv-s2-direct" (fun () ->
+        ignore (Twq.Quant.Qconv.forward_int l xi));
   ]
 
 (* ---------------------- paired batch-1 vs batch-N serving episodes *)
@@ -467,69 +453,34 @@ let kernels : (string * (unit -> unit)) list =
   @ paired "qconv" qconv_once
   @ paired "wino-f4" winof4_once
   @ paired "netsim-resnet34" netsim_once
-  @ tap_vs_tile "wino-f4-fp32"
-      (fun () ->
-        ignore (Twq.Winograd.Conv.conv2d ~variant:T.F4 ~pad:1 ~x:x_par ~w:w_par ()))
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_ref ~variant:T.F4 ~pad:1 ~x:x_par ~w:w_par ()))
-  @ tap_vs_tile "wino-f2-fp32"
-      (fun () ->
-        ignore (Twq.Winograd.Conv.conv2d ~variant:T.F2 ~pad:1 ~x:x_par ~w:w_par ()))
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_ref ~variant:T.F2 ~pad:1 ~x:x_par ~w:w_par ()))
-  @ tap_vs_tile "wino-f6-fp32"
-      (fun () ->
-        ignore (Twq.Winograd.Conv.conv2d ~variant:T.F6 ~pad:1 ~x:x_par ~w:w_par ()))
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_ref ~variant:T.F6 ~pad:1 ~x:x_par ~w:w_par ()))
-  @ tap_vs_tile "wino-f4-int8"
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_int_bit_true ~variant:T.F4 ~pad:1 ~x:xi_par
-             ~w:wi_par ()))
-      (fun () ->
-        ignore
-          (Twq.Winograd.Conv.conv2d_int_bit_true_ref ~variant:T.F4 ~pad:1 ~x:xi_par
-             ~w:wi_par ()))
-  @ tap_vs_tile "tapwise-int8"
-      (fun () -> ignore (Twq.Quant.Tapwise.forward_int tapwise_layer_par xi_tapwise))
-      (fun () ->
-        ignore (Twq.Quant.Tapwise.forward_int_ref tapwise_layer_par xi_tapwise))
-  @ micro_vs_naive "wino-f4-fp32"
-      (fun () -> ignore (WK.conv2d_f32 kf4_gemm ~pad:1 ~x:x_gemm ~w:w_gemm))
-      (fun () -> ignore (WK.conv2d_f32_ref kf4_gemm ~pad:1 ~x:x_gemm ~w:w_gemm))
-  @ micro_vs_naive "wino-f4-int8"
-      (fun () ->
-        ignore
-          (WK.conv2d_i32_exact ki4_gemm ~scale2:scale2_f4 ~pad:1 ~x:xi_gemm
-             ~w:wi_gemm))
-      (fun () ->
-        ignore
-          (WK.conv2d_i32_exact_ref ki4_gemm ~scale2:scale2_f4 ~pad:1 ~x:xi_gemm
-             ~w:wi_gemm))
   @ [
-      ( "wino-f6-rns-crt",
-        fun () ->
-          Parallel.sequential (fun () ->
-              ignore
-                (Twq.Winograd.Rns.conv2d rns_plan_f6 ~pad:1 ~x:xi_gemm
-                   ~w:wi_gemm ())) );
-      ( "wino-f6-rns-direct",
-        fun () ->
-          Parallel.sequential (fun () ->
-              ignore
-                (WK.conv2d_i32_exact ki6_gemm ~scale2:scale2_f6 ~pad:1
-                   ~x:xi_gemm ~w:wi_gemm)) );
-    ]
-  @ tap_vs_tile "gconv-m4r5-fp32"
-      (fun () ->
-        ignore (Twq.Winograd.Gconv.conv2d gconv45 ~pad:2 ~x:x_par ~w:w45_par ()))
-      (fun () ->
-        ignore (Twq.Winograd.Gconv.conv2d_ref gconv45 ~pad:2 ~x:x_par ~w:w45_par ()))
-  @ [
+      sequential "wino-f2-fp32-tap" (fun () ->
+          ignore (Twq.Winograd.Conv.conv2d ~variant:T.F2 ~pad:1 ~x:x_par ~w:w_par ()));
+      sequential "wino-f6-fp32-tap" (fun () ->
+          ignore (Twq.Winograd.Conv.conv2d ~variant:T.F6 ~pad:1 ~x:x_par ~w:w_par ()));
+      sequential "wino-f4-int8-tap" (fun () ->
+          ignore
+            (Twq.Winograd.Conv.conv2d_int_bit_true ~variant:T.F4 ~pad:1 ~x:xi_par
+               ~w:wi_par ()));
+      sequential "tapwise-int8-tap" (fun () ->
+          ignore (Twq.Quant.Tapwise.forward_int tapwise_layer_par xi_tapwise));
+      sequential "tapwise-int8-tile" (fun () ->
+          ignore (Twq.Quant.Tapwise.forward_int_ref tapwise_layer_par xi_tapwise));
+      sequential "wino-f4-fp32-micro" (fun () ->
+          ignore (WK.conv2d_f32 kf4_gemm ~pad:1 ~x:x_gemm ~w:w_gemm));
+      sequential "wino-f4-int8-micro" (fun () ->
+          ignore
+            (WK.conv2d_i32_exact ki4_gemm ~scale2:scale2_f4 ~pad:1 ~x:xi_gemm
+               ~w:wi_gemm));
+      sequential "wino-f6-rns-crt" (fun () ->
+          ignore
+            (Twq.Winograd.Rns.conv2d rns_plan_f6 ~pad:1 ~x:xi_gemm ~w:wi_gemm ()));
+      sequential "wino-f6-rns-direct" (fun () ->
+          ignore
+            (WK.conv2d_i32_exact ki6_gemm ~scale2:scale2_f6 ~pad:1 ~x:xi_gemm
+               ~w:wi_gemm));
+      sequential "gconv-m4r5-fp32-tap" (fun () ->
+          ignore (Twq.Winograd.Gconv.conv2d gconv45 ~pad:2 ~x:x_par ~w:w45_par ()));
       ("serve-batch1", serve_episode ~max_batch:1);
       ("serve-batch8", serve_episode ~max_batch:8);
     ]

@@ -1,161 +1,15 @@
 module Tensor = Twq_tensor.Tensor
 module Itensor = Twq_tensor.Itensor
 module Ops = Twq_tensor.Ops
-module Shape = Twq_tensor.Shape
 
 let tiles_along ~variant extent =
   let m = Transform.m variant in
   (extent + m - 1) / m
 
-(* Extract an input tile of size t×t whose top-left corner sits at
-   (h0, w0) in the *padded* coordinate system; out-of-range reads are 0. *)
-let load_tile_f x ~n ~c ~pad ~h0 ~w0 ~t =
-  let h = Tensor.dim x 2 and w = Tensor.dim x 3 in
-  Tensor.init [| t; t |] (fun idx ->
-      let hi = h0 + idx.(0) - pad and wi = w0 + idx.(1) - pad in
-      if hi < 0 || hi >= h || wi < 0 || wi >= w then 0.0
-      else Tensor.get4 x n c hi wi)
-
-let load_tile_i x ~n ~c ~pad ~h0 ~w0 ~t =
-  let h = Itensor.dim x 2 and w = Itensor.dim x 3 in
-  Itensor.init [| t; t |] (fun idx ->
-      let hi = h0 + idx.(0) - pad and wi = w0 + idx.(1) - pad in
-      if hi < 0 || hi >= h || wi < 0 || wi >= w then 0
-      else Itensor.get4 x n c hi wi)
-
-(* Tile-major reference path: per-tile tensors through the generic
-   [Rmat] sandwich.  Kept as the oracle the tap-major kernels are tested
-   against (and for readers: this is the textbook formulation). *)
-let conv2d_ref ~variant ?(pad = 0) ~x ~w ?b () =
-  let n = Tensor.dim x 0 and cin = Tensor.dim x 1 in
-  let h = Tensor.dim x 2 and wd = Tensor.dim x 3 in
-  let cout = Tensor.dim w 0 in
-  if Tensor.dim w 1 <> cin then invalid_arg "Conv.conv2d: channel mismatch";
-  if Tensor.dim w 2 <> 3 || Tensor.dim w 3 <> 3 then
-    invalid_arg "Conv.conv2d: Winograd path requires 3x3 kernels";
-  let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:3 ~kw:3 ~stride:1 ~pad in
-  let m = Transform.m variant and t = Transform.t variant in
-  let out = Tensor.zeros [| n; cout; ho; wo |] in
-  (* Transform all weights once: [cout][cin] t×t tiles. *)
-  let wt =
-    Twq_util.Parallel.map_array
-      (fun co ->
-        Array.init cin (fun ci ->
-            let f =
-              Tensor.init [| 3; 3 |] (fun idx ->
-                  Tensor.get4 w co ci idx.(0) idx.(1))
-            in
-            Transform.weight_tile variant f))
-      (Array.init cout Fun.id)
-  in
-  let n_th = tiles_along ~variant ho and n_tw = tiles_along ~variant wo in
-  (* Each (ni, th, tw) writes a disjoint output window — lock-free tile
-     parallelism, bit-identical to the sequential loop. *)
-  Twq_util.Parallel.parallel_for ~lo:0 ~hi:(n * n_th * n_tw) (fun tile_idx ->
-      let ni = tile_idx / (n_th * n_tw) in
-      let rest = tile_idx mod (n_th * n_tw) in
-      let th = rest / n_tw and tw = rest mod n_tw in
-      (* Transform the input tiles for every channel of this tile pos. *)
-      let xt =
-        Array.init cin (fun ci ->
-            let tile =
-              load_tile_f x ~n:ni ~c:ci ~pad ~h0:(th * m) ~w0:(tw * m) ~t
-            in
-            Transform.input_tile variant tile)
-      in
-      for co = 0 to cout - 1 do
-        let acc = Tensor.zeros [| t; t |] in
-        for ci = 0 to cin - 1 do
-          let p = Tensor.mul xt.(ci) wt.(co).(ci) in
-          Tensor.blit ~src:(Tensor.add acc p) ~dst:acc
-        done;
-        let y = Transform.output_tile variant acc in
-        for dy = 0 to m - 1 do
-          for dx = 0 to m - 1 do
-            let oh = (th * m) + dy and ow = (tw * m) + dx in
-            if oh < ho && ow < wo then
-              Tensor.set4 out ni co oh ow (Tensor.get2 y dy dx)
-          done
-        done
-      done);
-  (match b with
-  | None -> ()
-  | Some bias ->
-      Twq_util.Parallel.parallel_for ~lo:0 ~hi:(n * cout) (fun idx ->
-          let ni = idx / cout and co = idx mod cout in
-          let bv = bias.Tensor.data.(co) in
-          for oh = 0 to ho - 1 do
-            for ow = 0 to wo - 1 do
-              Tensor.set4 out ni co oh ow (Tensor.get4 out ni co oh ow +. bv)
-            done
-          done));
-  out
-
-let conv2d_int_bit_true_ref ~variant ?(pad = 0) ~x ~w () =
-  let n = Itensor.dim x 0 and cin = Itensor.dim x 1 in
-  let h = Itensor.dim x 2 and wd = Itensor.dim x 3 in
-  let cout = Itensor.dim w 0 in
-  if Itensor.dim w 1 <> cin then
-    invalid_arg "Conv.conv2d_int_bit_true: channel mismatch";
-  let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:3 ~kw:3 ~stride:1 ~pad in
-  let m = Transform.m variant and t = Transform.t variant in
-  let total_scale =
-    Transform.bt_scale variant * Transform.g_scale variant
-    * Transform.at_scale variant
-  in
-  let scale2 = total_scale * total_scale in
-  let out = Itensor.zeros [| n; cout; ho; wo |] in
-  let wt =
-    Array.init cout (fun co ->
-        Array.init cin (fun ci ->
-            let f =
-              Itensor.init [| 3; 3 |] (fun idx ->
-                  Itensor.get4 w co ci idx.(0) idx.(1))
-            in
-            Transform.weight_tile_int_scaled variant f))
-  in
-  let n_th = tiles_along ~variant ho and n_tw = tiles_along ~variant wo in
-  Twq_util.Parallel.parallel_for ~lo:0 ~hi:(n * n_th * n_tw) (fun tile_idx ->
-      let ni = tile_idx / (n_th * n_tw) in
-      let rest = tile_idx mod (n_th * n_tw) in
-      let th = rest / n_tw and tw = rest mod n_tw in
-      let xt =
-        Array.init cin (fun ci ->
-            let tile =
-              load_tile_i x ~n:ni ~c:ci ~pad ~h0:(th * m) ~w0:(tw * m) ~t
-            in
-            Transform.input_tile_int variant tile)
-      in
-      for co = 0 to cout - 1 do
-        let acc = Itensor.zeros [| t; t |] in
-        for ci = 0 to cin - 1 do
-          for i = 0 to t - 1 do
-            for j = 0 to t - 1 do
-              Itensor.set2 acc i j
-                (Itensor.get2 acc i j
-                + (Itensor.get2 xt.(ci) i j * Itensor.get2 wt.(co).(ci) i j))
-            done
-          done
-        done;
-        let y = Transform.output_tile_int variant acc in
-        for dy = 0 to m - 1 do
-          for dx = 0 to m - 1 do
-            let oh = (th * m) + dy and ow = (tw * m) + dx in
-            if oh < ho && ow < wo then begin
-              let v = Itensor.get2 y dy dx in
-              (* The Winograd identity guarantees exact divisibility by
-                 g_scale²; assert it rather than silently truncating. *)
-              assert (v mod scale2 = 0);
-              Itensor.set4 out ni co oh ow (v / scale2)
-            end
-          done
-        done
-      done);
-  out
-
-(* Production path: allocation-free tap-major kernels (specialized
-   shift-add / constant-folded transforms, one flat GEMM per tap).
-   Element-for-element equal to [conv2d_ref]. *)
+(* Allocation-free tap-major kernels (specialized shift-add /
+   constant-folded transforms, one packed GEMM per tap).  The tests hold
+   it element-for-element equal to the tile-major float oracle in
+   [test/oracle.ml]. *)
 let conv2d ~variant ?(pad = 0) ~x ~w ?b () =
   let cin = Tensor.dim x 1 in
   if Tensor.dim w 1 <> cin then invalid_arg "Conv.conv2d: channel mismatch";

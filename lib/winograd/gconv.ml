@@ -1,40 +1,17 @@
 module Tensor = Twq_tensor.Tensor
-module Ops = Twq_tensor.Ops
-module Shape = Twq_tensor.Shape
 
 type t = {
   gen : Generator.t;
-  bt : Tensor.t;  (* n×n *)
-  b : Tensor.t;
-  g : Tensor.t;   (* n×r *)
-  gt : Tensor.t;
-  at : Tensor.t;  (* m×n *)
-  a : Tensor.t;
   kern : float Kernels.kernel;  (* compiled tap-major plans *)
 }
-
-let tensor_of_rmat m =
-  let f = Twq_util.Rmat.to_float m in
-  Tensor.init
-    [| Array.length f; Array.length f.(0) |]
-    (fun idx -> f.(idx.(0)).(idx.(1)))
 
 let create ?points ~m ~r () =
   let points =
     match points with Some p -> p | None -> Generator.lavin_points (m + r - 2)
   in
   let gen = Generator.make ~points ~m ~r in
-  let bt = tensor_of_rmat gen.Generator.bt in
-  let g = tensor_of_rmat gen.Generator.g in
-  let at = tensor_of_rmat gen.Generator.at in
   {
     gen;
-    bt;
-    b = Ops.transpose bt;
-    g;
-    gt = Ops.transpose g;
-    at;
-    a = Ops.transpose at;
     kern =
       Kernels.f32_of_mats
         ~bt:(Twq_util.Rmat.to_float gen.Generator.bt)
@@ -50,71 +27,9 @@ let macs_reduction t =
   let d1 = m *. r /. (m +. r -. 1.0) in
   d1 *. d1
 
-(* Tile-major reference path — the oracle for the compiled tap-major
-   kernel below. *)
-let conv2d_ref t ?(pad = 0) ~x ~w () =
-  let m_sz = m t and r_sz = r t in
-  let tile = m_sz + r_sz - 1 in
-  let n = Tensor.dim x 0 and cin = Tensor.dim x 1 in
-  let h = Tensor.dim x 2 and wd = Tensor.dim x 3 in
-  let cout = Tensor.dim w 0 in
-  if Tensor.dim w 1 <> cin then invalid_arg "Gconv.conv2d: channel mismatch";
-  if Tensor.dim w 2 <> r_sz || Tensor.dim w 3 <> r_sz then
-    invalid_arg "Gconv.conv2d: kernel size mismatch";
-  let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:r_sz ~kw:r_sz ~stride:1 ~pad in
-  let out = Tensor.zeros [| n; cout; ho; wo |] in
-  let wt =
-    Twq_util.Parallel.map_array
-      (fun co ->
-        Array.init cin (fun ci ->
-            let f =
-              Tensor.init [| r_sz; r_sz |] (fun i -> Tensor.get4 w co ci i.(0) i.(1))
-            in
-            Ops.matmul (Ops.matmul t.g f) t.gt))
-      (Array.init cout Fun.id)
-  in
-  let n_th = (ho + m_sz - 1) / m_sz and n_tw = (wo + m_sz - 1) / m_sz in
-  (* Tiles are independent: each (ni, th, tw) owns a disjoint output
-     window, so the flattened tile loop parallelizes without locks and
-     stays bit-identical to the sequential order. *)
-  Twq_util.Parallel.parallel_for ~lo:0 ~hi:(n * n_th * n_tw) (fun tile_idx ->
-      let ni = tile_idx / (n_th * n_tw) in
-      let rest = tile_idx mod (n_th * n_tw) in
-      let th = rest / n_tw and tw = rest mod n_tw in
-      let xt =
-        Array.init cin (fun ci ->
-            let tile_t =
-              Tensor.init [| tile; tile |] (fun idx ->
-                  let hi = (th * m_sz) + idx.(0) - pad
-                  and wi = (tw * m_sz) + idx.(1) - pad in
-                  if hi < 0 || hi >= h || wi < 0 || wi >= wd then 0.0
-                  else Tensor.get4 x ni ci hi wi)
-            in
-            Ops.matmul (Ops.matmul t.bt tile_t) t.b)
-      in
-      for co = 0 to cout - 1 do
-        let acc = Tensor.zeros [| tile; tile |] in
-        for ci = 0 to cin - 1 do
-          for i = 0 to tile - 1 do
-            for j = 0 to tile - 1 do
-              Tensor.set2 acc i j
-                (Tensor.get2 acc i j
-                +. (Tensor.get2 xt.(ci) i j *. Tensor.get2 wt.(co).(ci) i j))
-            done
-          done
-        done;
-        let y = Ops.matmul (Ops.matmul t.at acc) t.a in
-        for dy = 0 to m_sz - 1 do
-          for dx = 0 to m_sz - 1 do
-            let oh = (th * m_sz) + dy and ow = (tw * m_sz) + dx in
-            if oh < ho && ow < wo then Tensor.set4 out ni co oh ow (Tensor.get2 y dy dx)
-          done
-        done
-      done);
-  out
-
-(* Production path: the plans compiled at {!create} time drive the
-   allocation-free tap-major engine.  Bit-identical to [conv2d_ref]. *)
+(* The plans compiled at {!create} time drive the allocation-free
+   tap-major engine.  The tests hold it bit-identical to the tile-major
+   float oracle in [test/oracle.ml] over the same [Generator] matrices. *)
 let conv2d t ?(pad = 0) ~x ~w () =
   let cin = Tensor.dim x 1 and r_sz = r t in
   if Tensor.dim w 1 <> cin then invalid_arg "Gconv.conv2d: channel mismatch";

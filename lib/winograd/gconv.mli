@@ -28,14 +28,6 @@ val conv2d :
   Twq_tensor.Tensor.t
 (** Stride-1 convolution of NCHW [x] with [\[cout; cin; r; r\]] weights;
     numerically equal to [Ops.conv2d].  Runs the compiled tap-major
-    {!Kernels} path; bit-identical to {!conv2d_ref}. *)
-
-val conv2d_ref :
-  t ->
-  ?pad:int ->
-  x:Twq_tensor.Tensor.t ->
-  w:Twq_tensor.Tensor.t ->
-  unit ->
-  Twq_tensor.Tensor.t
-(** Tile-major reference path through the generic matmul sandwich — the
-    oracle for {!conv2d}. *)
+    {!Kernels} path.  Its oracle lives in the tests, not here: the
+    tile-major float Winograd convolution of [test/oracle.ml], fed the
+    same {!Generator} matrices, which {!conv2d} must equal under [=]. *)

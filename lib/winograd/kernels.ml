@@ -21,10 +21,12 @@
    The per-tap GEMMs run through [Microkernel]: both operands are packed
    into register-block panels (tiles MR-packed during scatter, weights
    NR-packed during the weight transform) and the product is computed by
-   MR×NR accumulator-block kernels under KC cache blocking.  The naive
-   triple-loop drivers are kept verbatim as [conv2d_f32_ref] /
-   [conv2d_i32_exact_ref] oracles; see Microkernel for the ordering
-   contract that keeps the fast path equal to them. *)
+   MR×NR accumulator-block kernels under KC cache blocking; see
+   Microkernel for the ordering contract (ascending cin per output) that
+   keeps the float driver equal to the generic sandwich.  This module
+   keeps no oracle: the tests compare [conv2d_f32] with the tile-major
+   float Winograd convolution and [conv2d_i32_exact] with the direct
+   integer convolution, both in [test/oracle.ml]. *)
 
 module P = Twq_util.Parallel
 module Tensor = Twq_tensor.Tensor
@@ -546,225 +548,13 @@ let block_of ~total =
   let nd = P.num_domains () in
   max 1 (min 32 (total / (max 1 (4 * nd))))
 
-(* Naive triple-loop driver, kept verbatim as the oracle for the
-   microkernel path below. *)
-let conv2d_f32_ref k ~pad ~x ~w =
-  let n = Tensor.dim x 0 and cin = Tensor.dim x 1 in
-  let h = Tensor.dim x 2 and wd = Tensor.dim x 3 in
-  let cout = Tensor.dim w 0 in
-  let t = k.tile and m = k.mout in
-  let r = t - m + 1 in
-  if Tensor.dim w 1 <> cin then
-    invalid_arg "Kernels.conv2d_f32: channel mismatch";
-  if Tensor.dim w 2 <> r || Tensor.dim w 3 <> r then
-    invalid_arg "Kernels.conv2d_f32: kernel size mismatch";
-  let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:r ~kw:r ~stride:1 ~pad in
-  let tt = t * t in
-  let out = Tensor.zeros [| n; cout; ho; wo |] in
-  let od = out.Tensor.data and xd = x.Tensor.data in
-  (* Transformed weights, tap-major: u[((tap·cin)+ci)·cout + co]. *)
-  let u = Array.make (tt * cin * cout) 0.0 in
-  P.parallel_for ~lo:0 ~hi:(cout * cin) (fun idx ->
-      let co = idx / cin and ci = idx mod cin in
-      let f = P.Scratch.borrow fa_tile (r * r) in
-      let wt = P.Scratch.borrow fa_xt tt in
-      let tmp = P.Scratch.borrow fa_tmp (t * r) in
-      Array.blit w.Tensor.data (((co * cin) + ci) * r * r) f 0 (r * r);
-      k.weight f 0 wt 0 tmp;
-      for tap = 0 to tt - 1 do
-        u.((((tap * cin) + ci) * cout) + co) <- wt.(tap)
-      done);
-  let n_th = (ho + m - 1) / m and n_tw = (wo + m - 1) / m in
-  let tiles_per_img = n_th * n_tw in
-  let total = n * tiles_per_img in
-  let tb = block_of ~total in
-  let nblocks = (total + tb - 1) / tb in
-  P.parallel_for ~chunk:1 ~lo:0 ~hi:nblocks (fun blk ->
-      let b0 = blk * tb in
-      let bs = min tb (total - b0) in
-      let tile = P.Scratch.borrow fa_tile tt in
-      let xt = P.Scratch.borrow fa_xt tt in
-      let tmp = P.Scratch.borrow fa_tmp tt in
-      let v = P.Scratch.borrow fa_v (tt * tb * cin) in
-      let mo = P.Scratch.borrow fa_mo (tt * tb * cout) in
-      let yw = P.Scratch.borrow fa_yw tt in
-      let yo = P.Scratch.borrow fa_yo (m * m) in
-      (* Scatter: transform each tile and spread its taps across the
-         per-tap [tiles × cin] panels. *)
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        for ci = 0 to cin - 1 do
-          load_tile_f xd ~h ~w:wd
-            ~base:(((ni * cin) + ci) * h * wd)
-            ~pad ~h0:(th * m) ~w0:(tw * m) ~t tile;
-          k.input tile 0 xt 0 tmp;
-          for tap = 0 to tt - 1 do
-            v.((((tap * tb) + bidx) * cin) + ci) <- xt.(tap)
-          done
-        done
-      done;
-      (* One flat GEMM per tap: [bs × cin] · [cin × cout].  Accumulation
-         per (tile, tap, co) is ascending ci, matching the reference
-         per-element loop; skipping a zero input tap adds nothing. *)
-      Array.fill mo 0 (tt * tb * cout) 0.0;
-      for tap = 0 to tt - 1 do
-        let vbase = tap * tb * cin
-        and ubase = tap * cin * cout
-        and obase = tap * tb * cout in
-        for bidx = 0 to bs - 1 do
-          let vrow = vbase + (bidx * cin) and orow = obase + (bidx * cout) in
-          for ci = 0 to cin - 1 do
-            let av = v.(vrow + ci) in
-            if av <> 0.0 then begin
-              let urow = ubase + (ci * cout) in
-              for co = 0 to cout - 1 do
-                mo.(orow + co) <- mo.(orow + co) +. (av *. u.(urow + co))
-              done
-            end
-          done
-        done
-      done;
-      (* Gather: inverse-transform each (tile, co) tap vector, crop. *)
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        let h0 = th * m and w0 = tw * m in
-        let rh = min m (ho - h0) and rw = min m (wo - w0) in
-        for co = 0 to cout - 1 do
-          for tap = 0 to tt - 1 do
-            yw.(tap) <- mo.((((tap * tb) + bidx) * cout) + co)
-          done;
-          k.output yw 0 yo 0 tmp;
-          for dy = 0 to rh - 1 do
-            let orow = (((((ni * cout) + co) * ho) + h0 + dy) * wo) + w0 in
-            let yrow = dy * m in
-            for dx = 0 to rw - 1 do
-              od.(orow + dx) <- yo.(yrow + dx)
-            done
-          done
-        done
-      done);
-  out
-
-let conv2d_i32_exact_ref ?(epilogue = no_epilogue) ?out k ~scale2 ~pad ~x ~w =
-  let n = Itensor.dim x 0 and cin = Itensor.dim x 1 in
-  let h = Itensor.dim x 2 and wd = Itensor.dim x 3 in
-  let cout = Itensor.dim w 0 in
-  let t = k.tile and m = k.mout in
-  let r = t - m + 1 in
-  if Itensor.dim w 1 <> cin then
-    invalid_arg "Kernels.conv2d_i32_exact: channel mismatch";
-  if Itensor.dim w 2 <> r || Itensor.dim w 3 <> r then
-    invalid_arg "Kernels.conv2d_i32_exact: kernel size mismatch";
-  let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:r ~kw:r ~stride:1 ~pad in
-  let tt = t * t in
-  let out =
-    match out with
-    | None -> Itensor.zeros [| n; cout; ho; wo |]
-    | Some o ->
-        if
-          Itensor.dim o 0 <> n || Itensor.dim o 1 <> cout
-          || Itensor.dim o 2 <> ho || Itensor.dim o 3 <> wo
-        then invalid_arg "Kernels.conv2d_i32_exact: out shape mismatch";
-        o
-  in
-  let od = out.Itensor.data and xd = x.Itensor.data in
-  let u = Array.make (tt * cin * cout) 0 in
-  P.parallel_for ~lo:0 ~hi:(cout * cin) (fun idx ->
-      let co = idx / cin and ci = idx mod cin in
-      let f = P.Scratch.borrow ia_tile (r * r) in
-      let wt = P.Scratch.borrow ia_xt tt in
-      let tmp = P.Scratch.borrow ia_tmp (t * r) in
-      Array.blit w.Itensor.data (((co * cin) + ci) * r * r) f 0 (r * r);
-      k.weight f 0 wt 0 tmp;
-      for tap = 0 to tt - 1 do
-        u.((((tap * cin) + ci) * cout) + co) <- wt.(tap)
-      done);
-  let n_th = (ho + m - 1) / m and n_tw = (wo + m - 1) / m in
-  let tiles_per_img = n_th * n_tw in
-  let total = n * tiles_per_img in
-  let tb = block_of ~total in
-  let nblocks = (total + tb - 1) / tb in
-  P.parallel_for ~chunk:1 ~lo:0 ~hi:nblocks (fun blk ->
-      let b0 = blk * tb in
-      let bs = min tb (total - b0) in
-      let tile = P.Scratch.borrow ia_tile tt in
-      let xt = P.Scratch.borrow ia_xt tt in
-      let tmp = P.Scratch.borrow ia_tmp tt in
-      let v = P.Scratch.borrow ia_v (tt * tb * cin) in
-      let mo = P.Scratch.borrow ia_mo (tt * tb * cout) in
-      let yw = P.Scratch.borrow ia_yw tt in
-      let yo = P.Scratch.borrow ia_yo (m * m) in
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        for ci = 0 to cin - 1 do
-          load_tile_i xd ~h ~w:wd
-            ~base:(((ni * cin) + ci) * h * wd)
-            ~pad ~h0:(th * m) ~w0:(tw * m) ~t tile;
-          k.input tile 0 xt 0 tmp;
-          for tap = 0 to tt - 1 do
-            v.((((tap * tb) + bidx) * cin) + ci) <- xt.(tap)
-          done
-        done
-      done;
-      Array.fill mo 0 (tt * tb * cout) 0;
-      for tap = 0 to tt - 1 do
-        let vbase = tap * tb * cin
-        and ubase = tap * cin * cout
-        and obase = tap * tb * cout in
-        for bidx = 0 to bs - 1 do
-          let vrow = vbase + (bidx * cin) and orow = obase + (bidx * cout) in
-          for ci = 0 to cin - 1 do
-            let av = v.(vrow + ci) in
-            if av <> 0 then begin
-              let urow = ubase + (ci * cout) in
-              for co = 0 to cout - 1 do
-                mo.(orow + co) <- mo.(orow + co) + (av * u.(urow + co))
-              done
-            end
-          done
-        done
-      done;
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        let h0 = th * m and w0 = tw * m in
-        let rh = min m (ho - h0) and rw = min m (wo - w0) in
-        for co = 0 to cout - 1 do
-          for tap = 0 to tt - 1 do
-            yw.(tap) <- mo.((((tap * tb) + bidx) * cout) + co)
-          done;
-          k.output yw 0 yo 0 tmp;
-          for dy = 0 to rh - 1 do
-            let orow = (((((ni * cout) + co) * ho) + h0 + dy) * wo) + w0 in
-            let yrow = dy * m in
-            for dx = 0 to rw - 1 do
-              let raw = yo.(yrow + dx) in
-              (* The Winograd identity guarantees exact divisibility by
-                 the squared transform scale; assert rather than
-                 truncate. *)
-              assert (raw mod scale2 = 0);
-              epilogue_store epilogue od (orow + dx) (raw / scale2)
-            done
-          done
-        done
-      done);
-  out
-
 (* ---------- microkernel (packed, register-tiled) drivers ---------- *)
 
-(* The fast drivers keep the exact structure of the [_ref] bodies but
-   stage both GEMM operands in register-block panels:
+(* The drivers scatter tiles into per-tap panels, run one GEMM per tap
+   and gather back through the inverse transform — per (tile, tap, co)
+   the same ascending-cin sum as the tile-major float oracle in
+   [test/oracle.ml] — and stage both GEMM operands in register-block
+   panels:
 
    - weights are NR-packed while they are transformed —
      [u.(tap·cin·cout_p + ((jb·cin + ci)·nr + jr))] with [co = jb·nr+jr],
@@ -778,9 +568,7 @@ let conv2d_i32_exact_ref ?(epilogue = no_epilogue) ?out k ~scale2 ~pad ~x ~w =
      never touches the pad columns.
 
    [u] itself is borrowed from a per-domain arena instead of allocated
-   per call — the last steady-state allocation of the tap-major path.
-   The configuration is read once per call, so packing and consumption
-   cannot desync even if a test changes it concurrently. *)
+   per call — the last steady-state allocation of the tap-major path. *)
 
 let conv2d_f32 k ~pad ~x ~w =
   let n = Tensor.dim x 0 and cin = Tensor.dim x 1 in
@@ -901,7 +689,7 @@ let conv2d_f32 k ~pad ~x ~w =
       done);
   out
 
-let conv2d_i32_exact ?(epilogue = no_epilogue) ?out k ~scale2 ~pad ~x ~w =
+let conv2d_i32_exact k ~scale2 ~pad ~x ~w =
   let n = Itensor.dim x 0 and cin = Itensor.dim x 1 in
   let h = Itensor.dim x 2 and wd = Itensor.dim x 3 in
   let cout = Itensor.dim w 0 in
@@ -913,16 +701,7 @@ let conv2d_i32_exact ?(epilogue = no_epilogue) ?out k ~scale2 ~pad ~x ~w =
     invalid_arg "Kernels.conv2d_i32_exact: kernel size mismatch";
   let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:r ~kw:r ~stride:1 ~pad in
   let tt = t * t in
-  let out =
-    match out with
-    | None -> Itensor.zeros [| n; cout; ho; wo |]
-    | Some o ->
-        if
-          Itensor.dim o 0 <> n || Itensor.dim o 1 <> cout
-          || Itensor.dim o 2 <> ho || Itensor.dim o 3 <> wo
-        then invalid_arg "Kernels.conv2d_i32_exact: out shape mismatch";
-        o
-  in
+  let out = Itensor.zeros [| n; cout; ho; wo |] in
   let od = out.Itensor.data and xd = x.Itensor.data in
   let { Microkernel.mr; nr; kc } = Microkernel.config () in
   let cout_p = Microkernel.round_up cout nr in
@@ -1016,8 +795,11 @@ let conv2d_i32_exact ?(epilogue = no_epilogue) ?out k ~scale2 ~pad ~x ~w =
             let yrow = dy * m in
             for dx = 0 to rw - 1 do
               let raw = yo.(yrow + dx) in
+              (* The Winograd identity guarantees exact divisibility by
+                 the squared transform scale; assert rather than
+                 truncate. *)
               assert (raw mod scale2 = 0);
-              epilogue_store epilogue od (orow + dx) (raw / scale2)
+              od.(orow + dx) <- raw / scale2
             done
           done
         done

@@ -17,7 +17,14 @@
     for operation — same accumulation order, same term skipping — so
     outputs are identical to the reference path ([=] on every element; the
     only tolerated deviation is the sign of a zero).  The integer kernels
-    are exact and bit-identical to {!Transform.int_sandwich}. *)
+    are exact and bit-identical to the integer sandwiches
+    ({!Transform.input_tile_int} and friends).
+
+    The module ships no oracle of its own.  The tests check the drivers
+    against the two references in [test/oracle.ml]: {!conv2d_f32} against
+    the tile-major float Winograd convolution over the same matrices
+    (under [=]), {!conv2d_i32_exact} against the direct integer
+    convolution. *)
 
 type 'a kernel = {
   tile : int;  (** transform size [t = m + r - 1] *)
@@ -132,25 +139,12 @@ val conv2d_f32 :
 (** Tap-major Winograd convolution (stride 1, no bias): NCHW [x] against
     [\[cout; cin; r; r\]] weights.  The per-tap GEMMs run through
     {!Microkernel} over register-block-packed panels; per
-    (tile, tap, co) the accumulation order is unchanged (ascending [ci],
-    left-associated), so outputs equal {!conv2d_f32_ref} — and hence the
-    tile-major reference ({!Conv.conv2d_ref} / {!Gconv.conv2d_ref}) —
-    element for element under [=] (zero signs may differ: the reference
-    skips products whose input tap is exactly 0.0, the microkernel does
-    not). *)
-
-val conv2d_f32_ref :
-  float kernel ->
-  pad:int ->
-  x:Twq_tensor.Tensor.t ->
-  w:Twq_tensor.Tensor.t ->
-  Twq_tensor.Tensor.t
-(** Naive triple-loop tap-major driver, kept as the oracle for
-    {!conv2d_f32} (and paired [-naive] bench rows). *)
+    (tile, tap, co) the accumulation is ascending [ci], left-associated,
+    so outputs equal the tile-major float oracle of [test/oracle.ml]
+    (per-tile [Ops.matmul] sandwiches with the same matrices) element for
+    element under [=]; zero signs may differ. *)
 
 val conv2d_i32_exact :
-  ?epilogue:epilogue ->
-  ?out:Twq_tensor.Itensor.t ->
   int kernel ->
   scale2:int ->
   pad:int ->
@@ -159,23 +153,7 @@ val conv2d_i32_exact :
   Twq_tensor.Itensor.t
 (** Bit-true integer tap-major convolution; every output of the scaled
     integral sandwich is asserted divisible by [scale2 =
-    (bt_scale·g_scale·at_scale)²] and divided back down, exactly as
-    {!Conv.conv2d_int_bit_true_ref}.  The per-tap GEMMs run through
-    {!Microkernel}; integer addition is associative so the packed path
-    is unconditionally bit-identical to {!conv2d_i32_exact_ref}.
-    [epilogue] fuses the elementwise post-processing into the output
-    write loop; [out] writes into a caller-provided [\[n; cout; ho; wo\]]
-    tensor (planner arena buffers) instead of allocating — the returned
-    tensor is [out] itself. *)
-
-val conv2d_i32_exact_ref :
-  ?epilogue:epilogue ->
-  ?out:Twq_tensor.Itensor.t ->
-  int kernel ->
-  scale2:int ->
-  pad:int ->
-  x:Twq_tensor.Itensor.t ->
-  w:Twq_tensor.Itensor.t ->
-  Twq_tensor.Itensor.t
-(** Naive triple-loop tap-major driver, kept as the bit-identity oracle
-    for {!conv2d_i32_exact}. *)
+    (bt_scale·g_scale·at_scale)²] and divided back down.  The per-tap
+    GEMMs run through {!Microkernel}.  Every step is exact integer
+    arithmetic, so the result equals the direct integer convolution —
+    the oracle the tests hold it to, in [test/oracle.ml]. *)

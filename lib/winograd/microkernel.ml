@@ -29,9 +29,9 @@
    resumes from the stored partial.  This is exactly the accumulation
    order of the naive triple loop, so the integer kernels are
    bit-identical and the float kernels are IEEE-identical up to the sign
-   of zeros (the naive drivers skip products with a zero left operand;
-   the kernels do not, which can only flip a zero's sign for finite
-   inputs). *)
+   of zeros (the tile-major float oracle's [Ops.matmul] skips products
+   with a zero left operand; the kernels do not, which can only flip a
+   zero's sign for finite inputs). *)
 
 (* ------------------------------------------------------------- config *)
 

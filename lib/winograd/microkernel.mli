@@ -22,8 +22,8 @@
     seeded from C's current value, so KC-panel splitting does not change
     the association. The integer kernels are bit-identical to the naive
     triple loop; the float kernels are IEEE-identical up to the sign of
-    zeros (the naive drivers skip zero left operands, the kernels do
-    not). *)
+    zeros (the tile-major float oracle's [Ops.matmul] skips zero left
+    operands, the kernels do not). *)
 
 type cfg = { mr : int; nr : int; kc : int }
 

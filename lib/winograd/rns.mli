@@ -33,9 +33,9 @@
     must exceed twice the worst-case |Y| bound computed from the lifted
     scales, [Cin], and the declared value ranges — otherwise construction
     fails with a typed {!error}.  Given the proof, the backend is exact:
-    {!conv2d} is bit-identical to the direct integer convolution (and to
-    {!Kernels.conv2d_i32_exact_ref}) or it raises; it never silently
-    truncates. *)
+    {!conv2d} is bit-identical to the direct integer convolution (the
+    oracle the tests hold it to, in [test/oracle.ml]) or it raises; it
+    never silently truncates. *)
 
 type error =
   | Bad_basis of string

@@ -1,6 +1,7 @@
-(* Bit-identity of the specialized tap-major Winograd kernels against
-   the generic Rmat-sandwich reference path, for every variant, random
-   shapes, and under TWQ_NUM_DOMAINS=4.
+(* Bit-identity of the specialized tap-major Winograd kernels: single
+   tiles against the generic Rmat sandwich, full convolutions against the
+   two references in [Oracle], the GEMM drivers against naive loops, for
+   every variant, random shapes, and under TWQ_NUM_DOMAINS=4.
 
    "Bit-identical" for the float path means every element compares equal
    with [=] (the specialized transforms may only differ from the generic
@@ -15,6 +16,7 @@ module Kernels = Twq_winograd.Kernels
 module Microkernel = Twq_winograd.Microkernel
 module Conv = Twq_winograd.Conv
 module Gconv = Twq_winograd.Gconv
+module Generator = Twq_winograd.Generator
 module Tapwise = Twq_quant.Tapwise
 module Qconv = Twq_quant.Qconv
 module Quantizer = Twq_quant.Quantizer
@@ -83,81 +85,124 @@ let prop_int_tiles =
 
 (* ------------------------------------- full convs, random NCHW shapes *)
 
-let shape_gen =
-  QCheck2.Gen.(
-    tup6 variant_gen (int_range 1 2) (int_range 1 4) (int_range 1 4)
-      (int_range 3 14) (int_range 0 1))
+let scale2_of v =
+  let s = Transform.bt_scale v * Transform.g_scale v * Transform.at_scale v in
+  s * s
+
+(* Every full-conv property below draws its shape from one seed: batch
+   1..2, Cin/Cout 1..9 (straddling the 4×4 register block), height r..14,
+   an independent width r..17 (so ragged), pad 0..r/2.  The production
+   call runs under [nd] domains and must equal the [Oracle] reference. *)
+type float_conv =
+  | Fixed of Transform.variant (* Conv.conv2d, with or without a bias *)
+  | Micro of Transform.variant (* Kernels.conv2d_f32 directly *)
+  | Generated of int * int (* Gconv.conv2d on a generated F(m,r) *)
+
+let tensor_of_rmat mat =
+  let f = Twq_util.Rmat.to_float mat in
+  Tensor.init [| Array.length f; Array.length f.(0) |] (fun i ->
+      f.(i.(0)).(i.(1)))
+
+let conv_shape rng r =
+  let n = 1 + Twq_util.Rng.int rng 2 in
+  let cin = 1 + Twq_util.Rng.int rng 9 and cout = 1 + Twq_util.Rng.int rng 9 in
+  let h = r + Twq_util.Rng.int rng (15 - r)
+  and w = r + Twq_util.Rng.int rng (18 - r) in
+  let pad = Twq_util.Rng.int rng ((r / 2) + 1) in
+  (n, cin, cout, h, w, pad)
+
+let float_conv_matches conv nd seed =
+  let rng = Twq_util.Rng.create seed in
+  let r = match conv with Generated (_, r) -> r | Fixed _ | Micro _ -> 3 in
+  let n, cin, cout, h, w, pad = conv_shape rng r in
+  let x = tensor_of_rng rng [| n; cin; h; w |] in
+  let wt = tensor_of_rng rng [| cout; cin; r; r |] in
+  let fixed_oracle v ?b () =
+    Oracle.winograd_f32 ~bt:(Transform.bt v) ~g:(Transform.g v)
+      ~at:(Transform.at v) ~pad ?b ~x ~w:wt ()
+  in
+  let got, want =
+    match conv with
+    | Fixed v ->
+        let b =
+          if Twq_util.Rng.bool rng then Some (tensor_of_rng rng [| cout |])
+          else None
+        in
+        ( with_domains nd (fun () -> Conv.conv2d ~variant:v ~pad ~x ~w:wt ?b ()),
+          fixed_oracle v ?b () )
+    | Micro v ->
+        let k = Kernels.f32_specialized v in
+        ( with_domains nd (fun () -> Kernels.conv2d_f32 k ~pad ~x ~w:wt),
+          fixed_oracle v () )
+    | Generated (m, r) ->
+        let gc = Gconv.create ~m ~r () in
+        let gen =
+          Generator.make ~points:(Generator.lavin_points (m + r - 2)) ~m ~r
+        in
+        ( with_domains nd (fun () -> Gconv.conv2d gc ~pad ~x ~w:wt ()),
+          Oracle.winograd_f32
+            ~bt:(tensor_of_rmat gen.Generator.bt)
+            ~g:(tensor_of_rmat gen.Generator.g)
+            ~at:(tensor_of_rmat gen.Generator.at)
+            ~pad ~x ~w:wt () )
+  in
+  float_eq got want
 
 let prop_conv_f32 =
   QCheck2.Test.make ~count:40 ~name:"tap-major conv2d = tile-major ref"
-    QCheck2.Gen.(pair shape_gen seed_gen)
-    (fun ((v, n, cin, cout, hw, pad), seed) ->
-      let rng = Twq_util.Rng.create seed in
-      let h = hw and w = hw + Twq_util.Rng.int rng 4 in
-      let x = tensor_of_rng rng [| n; cin; h; w |] in
-      let wt = tensor_of_rng rng [| cout; cin; 3; 3 |] in
-      let b = tensor_of_rng rng [| cout |] in
-      let got = Conv.conv2d ~variant:v ~pad ~x ~w:wt ~b () in
-      let want = Conv.conv2d_ref ~variant:v ~pad ~x ~w:wt ~b () in
-      float_eq got want)
+    QCheck2.Gen.(pair variant_gen seed_gen)
+    (fun (v, seed) -> float_conv_matches (Fixed v) 1 seed)
+
+let prop_conv_f32_four_domains =
+  QCheck2.Test.make ~count:30
+    ~name:"tap-major conv2d = ref under TWQ_NUM_DOMAINS=4"
+    QCheck2.Gen.(pair variant_gen seed_gen)
+    (fun (v, seed) -> float_conv_matches (Fixed v) 4 seed)
+
+let prop_gconv =
+  QCheck2.Test.make ~count:40 ~name:"gconv compiled plans = matmul sandwich"
+    QCheck2.Gen.(tup4 (int_range 2 4) (oneofl [ 3; 5 ]) (int_range 1 4) seed_gen)
+    (fun (m, r, nd, seed) -> float_conv_matches (Generated (m, r)) nd seed)
+
+let prop_micro_f32_edge =
+  QCheck2.Test.make ~count:40
+    ~name:"microkernel conv2d_f32 = naive ref (edge shapes)"
+    QCheck2.Gen.(tup3 variant_gen (oneofl [ 1; 4 ]) seed_gen)
+    (fun (v, nd, seed) -> float_conv_matches (Micro v) nd seed)
+
+(* The exact integer drivers against [Oracle.direct_int] over full int8
+   ranges, F2/F4/F6: through [Conv.conv2d_int_bit_true] or straight into
+   [Kernels.conv2d_i32_exact]. *)
+let int_conv_matches ~micro v nd seed =
+  let rng = Twq_util.Rng.create seed in
+  let n, cin, cout, h, w, pad = conv_shape rng 3 in
+  let x = itensor_of_rng rng [| n; cin; h; w |] in
+  let wt = itensor_of_rng rng [| cout; cin; 3; 3 |] in
+  let got =
+    with_domains nd (fun () ->
+        if micro then
+          Kernels.conv2d_i32_exact (Kernels.i32_specialized v)
+            ~scale2:(scale2_of v) ~pad ~x ~w:wt
+        else Conv.conv2d_int_bit_true ~variant:v ~pad ~x ~w:wt ())
+  in
+  Itensor.equal got (Oracle.direct_int ~pad ~x ~w:wt ())
 
 let prop_conv_int =
   QCheck2.Test.make ~count:40 ~name:"tap-major int conv = tile-major ref"
-    QCheck2.Gen.(pair shape_gen seed_gen)
-    (fun ((v, n, cin, cout, hw, pad), seed) ->
-      let rng = Twq_util.Rng.create seed in
-      let h = hw and w = hw + Twq_util.Rng.int rng 4 in
-      let x = itensor_of_rng rng [| n; cin; h; w |] in
-      let wt = itensor_of_rng rng [| cout; cin; 3; 3 |] in
-      let got = Conv.conv2d_int_bit_true ~variant:v ~pad ~x ~w:wt () in
-      let want = Conv.conv2d_int_bit_true_ref ~variant:v ~pad ~x ~w:wt () in
-      Itensor.equal got want)
-
-let prop_conv_f32_four_domains =
-  QCheck2.Test.make ~count:20
-    ~name:"tap-major conv2d = ref under TWQ_NUM_DOMAINS=4"
-    QCheck2.Gen.(pair shape_gen seed_gen)
-    (fun ((v, n, cin, cout, hw, pad), seed) ->
-      let rng = Twq_util.Rng.create seed in
-      let h = hw and w = hw + Twq_util.Rng.int rng 4 in
-      let x = tensor_of_rng rng [| n; cin; h; w |] in
-      let wt = tensor_of_rng rng [| cout; cin; 3; 3 |] in
-      let got = with_domains 4 (fun () -> Conv.conv2d ~variant:v ~pad ~x ~w:wt ()) in
-      let want = Conv.conv2d_ref ~variant:v ~pad ~x ~w:wt () in
-      float_eq got want)
+    QCheck2.Gen.(pair variant_gen seed_gen)
+    (fun (v, seed) -> int_conv_matches ~micro:false v 1 seed)
 
 let prop_conv_int_four_domains =
-  QCheck2.Test.make ~count:20
+  QCheck2.Test.make ~count:30
     ~name:"tap-major int conv = ref under TWQ_NUM_DOMAINS=4"
-    QCheck2.Gen.(pair shape_gen seed_gen)
-    (fun ((v, n, cin, cout, hw, pad), seed) ->
-      let rng = Twq_util.Rng.create seed in
-      let h = hw and w = hw + Twq_util.Rng.int rng 4 in
-      let x = itensor_of_rng rng [| n; cin; h; w |] in
-      let wt = itensor_of_rng rng [| cout; cin; 3; 3 |] in
-      let got =
-        with_domains 4 (fun () -> Conv.conv2d_int_bit_true ~variant:v ~pad ~x ~w:wt ())
-      in
-      let want = Conv.conv2d_int_bit_true_ref ~variant:v ~pad ~x ~w:wt () in
-      Itensor.equal got want)
+    QCheck2.Gen.(pair variant_gen seed_gen)
+    (fun (v, seed) -> int_conv_matches ~micro:false v 4 seed)
 
-(* -------------------------------------- generated F(m,r) via Gconv *)
-
-let prop_gconv =
-  QCheck2.Test.make ~count:20 ~name:"gconv compiled plans = matmul sandwich"
-    QCheck2.Gen.(tup4 (int_range 2 4) (oneofl [ 3; 5 ]) (int_range 1 4) seed_gen)
-    (fun (m, r, nd, seed) ->
-      let rng = Twq_util.Rng.create seed in
-      let gc = Gconv.create ~m ~r () in
-      let cin = 1 + Twq_util.Rng.int rng 3
-      and cout = 1 + Twq_util.Rng.int rng 3 in
-      let h = r + Twq_util.Rng.int rng 8 and w = r + Twq_util.Rng.int rng 8 in
-      let pad = Twq_util.Rng.int rng ((r / 2) + 1) in
-      let x = tensor_of_rng rng [| 1; cin; h; w |] in
-      let wt = tensor_of_rng rng [| cout; cin; r; r |] in
-      let got = with_domains nd (fun () -> Gconv.conv2d gc ~pad ~x ~w:wt ()) in
-      let want = Gconv.conv2d_ref gc ~pad ~x ~w:wt () in
-      float_eq got want)
+let prop_micro_int_edge =
+  QCheck2.Test.make ~count:40
+    ~name:"microkernel conv2d_i32_exact = naive ref (edge shapes)"
+    QCheck2.Gen.(tup3 variant_gen (oneofl [ 1; 4 ]) seed_gen)
+    (fun (v, nd, seed) -> int_conv_matches ~micro:true v nd seed)
 
 (* ------------------------------------ quantized tap-wise forward_int *)
 
@@ -185,54 +230,7 @@ let prop_tapwise =
       let want = Tapwise.forward_int_ref l xi in
       Itensor.equal got want)
 
-(* --------------- microkernel GEMM drivers vs naive [_ref] oracles *)
-
-let scale2_of v =
-  let s = Transform.bt_scale v * Transform.g_scale v * Transform.at_scale v in
-  s * s
-
-(* Edge shapes for the register-tiled path: Cin/Cout deliberately
-   straddle register-block multiples (1..9), images go down to a single
-   tile (hw = 3), and the pool runs with 1 or 4 domains. *)
-let micro_shape_gen =
-  QCheck2.Gen.(
-    tup6 variant_gen (int_range 1 9) (int_range 1 9) (int_range 3 10)
-      (oneofl [ 1; 4 ]) seed_gen)
-
-let prop_micro_f32_edge =
-  QCheck2.Test.make ~count:60
-    ~name:"microkernel conv2d_f32 = naive ref (edge shapes)" micro_shape_gen
-    (fun (v, cin, cout, hw, nd, seed) ->
-      let rng = Twq_util.Rng.create seed in
-      let pad = Twq_util.Rng.int rng 2 in
-      let k = Kernels.f32_specialized v in
-      let x =
-        tensor_of_rng rng [| 1; cin; hw; hw + Twq_util.Rng.int rng 3 |]
-      in
-      let wt = tensor_of_rng rng [| cout; cin; 3; 3 |] in
-      let got = with_domains nd (fun () -> Kernels.conv2d_f32 k ~pad ~x ~w:wt) in
-      let want = Kernels.conv2d_f32_ref k ~pad ~x ~w:wt in
-      float_eq got want)
-
-let prop_micro_int_edge =
-  QCheck2.Test.make ~count:60
-    ~name:"microkernel conv2d_i32_exact = naive ref (edge shapes)"
-    micro_shape_gen
-    (fun (v, cin, cout, hw, nd, seed) ->
-      let rng = Twq_util.Rng.create seed in
-      let pad = Twq_util.Rng.int rng 2 in
-      let k = Kernels.i32_specialized v in
-      let x =
-        itensor_of_rng rng [| 1; cin; hw; hw + Twq_util.Rng.int rng 3 |]
-      in
-      let wt = itensor_of_rng rng [| cout; cin; 3; 3 |] in
-      let scale2 = scale2_of v in
-      let got =
-        with_domains nd (fun () ->
-            Kernels.conv2d_i32_exact k ~scale2 ~pad ~x ~w:wt)
-      in
-      let want = Kernels.conv2d_i32_exact_ref k ~scale2 ~pad ~x ~w:wt in
-      Itensor.equal got want)
+(* ---------------------------------- microkernel GEMM drivers *)
 
 (* Driver-level fold order at the one register block: both GEMM drivers
    must reproduce a naive ascending-k triple loop seeded from C, with k
@@ -354,7 +352,7 @@ let test_micro_cin_over_kc_int () =
   let wt = itensor_of_rng rng [| 5; cin_over_kc; 3; 3 |] in
   let k = Kernels.i32_specialized Transform.F4 in
   let scale2 = scale2_of Transform.F4 in
-  let want = Kernels.conv2d_i32_exact_ref k ~scale2 ~pad:1 ~x ~w:wt in
+  let want = Oracle.direct_int ~pad:1 ~x ~w:wt () in
   let got = Kernels.conv2d_i32_exact k ~scale2 ~pad:1 ~x ~w:wt in
   Alcotest.(check bool) "conv2d_i32_exact" true (Itensor.equal got want)
 

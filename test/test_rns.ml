@@ -1,6 +1,6 @@
 (* Bit-exactness of the RNS Winograd backend against the direct integer
-   convolution (and the packed exact-int oracle), the typed range-proof
-   rejections, basis suggestion, and the runtime range contract. *)
+   convolution ([Oracle.direct_int]), the typed range-proof rejections,
+   basis suggestion, and the runtime range contract. *)
 
 module Parallel = Twq_util.Parallel
 module Rng = Twq_util.Rng
@@ -16,28 +16,6 @@ let qt = QCheck_alcotest.to_alcotest
 let with_domains n f =
   Parallel.set_num_domains n;
   Fun.protect ~finally:(fun () -> Parallel.clear_num_domains_override ()) f
-
-(* Direct integer convolution (correlation) for arbitrary kernel size. *)
-let direct_conv_int ~r ~pad x w =
-  let n = Itensor.dim x 0 and cin = Itensor.dim x 1 in
-  let h = Itensor.dim x 2 and wd = Itensor.dim x 3 in
-  let cout = Itensor.dim w 0 in
-  let ho = h + (2 * pad) - r + 1 and wo = wd + (2 * pad) - r + 1 in
-  Itensor.init [| n; cout; ho; wo |] (fun idx ->
-      let acc = ref 0 in
-      for ci = 0 to cin - 1 do
-        for ki = 0 to r - 1 do
-          for kj = 0 to r - 1 do
-            let hi = idx.(2) + ki - pad and wi = idx.(3) + kj - pad in
-            if hi >= 0 && hi < h && wi >= 0 && wi < wd then
-              acc :=
-                !acc
-                + Itensor.get4 x idx.(0) ci hi wi
-                  * Itensor.get4 w idx.(1) ci ki kj
-          done
-        done
-      done;
-      !acc)
 
 let itensor_of_rng rng shape lim =
   Itensor.init shape (fun _ -> Rng.int rng ((2 * lim) + 1) - lim)
@@ -65,11 +43,12 @@ let prop_f6_bit_exact =
       in
       with_domains nd (fun () ->
           Itensor.equal
-            (direct_conv_int ~r:3 ~pad x wt)
+            (Oracle.direct_int ~pad ~x ~w:wt ())
             (Rns.conv2d plan ~pad ~x ~w:wt ())))
 
-(* Same plan, checked against the packed exact-int tap-major oracle. *)
-let test_f6_matches_i32_exact_ref () =
+(* Same plan on a batch of two ragged images, against the direct oracle
+   and the packed exact-int driver [Kernels.conv2d_i32_exact]. *)
+let test_f6_matches_i32_exact () =
   let rng = Rng.create 42 in
   let cin = 3 and cout = 5 in
   let x = itensor_of_rng rng [| 2; cin; 13; 11 |] 4 in
@@ -77,15 +56,18 @@ let test_f6_matches_i32_exact_ref () =
   let plan =
     Rns.plan_exn ~m:6 ~r:3 ~basis:[ 8191; 8179; 8171 ] ~cin ~xmax:4 ~wmax:4 ()
   in
-  let k6 = Kernels.i32_specialized Transform.F6 in
+  let got = Rns.conv2d plan ~pad:1 ~x ~w () in
+  Alcotest.check itensor "F6 rns == direct int" (Oracle.direct_int ~pad:1 ~x ~w ())
+    got;
   let s =
     Transform.bt_scale Transform.F6
     * Transform.g_scale Transform.F6
     * Transform.at_scale Transform.F6
   in
-  let oracle = Kernels.conv2d_i32_exact_ref k6 ~scale2:(s * s) ~pad:1 ~x ~w in
-  Alcotest.check itensor "F6 rns == i32_exact_ref" oracle
-    (Rns.conv2d plan ~pad:1 ~x ~w ())
+  Alcotest.check itensor "F6 rns == i32_exact"
+    (Kernels.conv2d_i32_exact (Kernels.i32_specialized Transform.F6)
+       ~scale2:(s * s) ~pad:1 ~x ~w)
+    got
 
 (* ------------------------------------------- other tiles / other bases *)
 
@@ -101,7 +83,7 @@ let prop_f2_full_int8_two_moduli =
       let wt = itensor_of_rng rng [| cout; cin; 3; 3 |] 128 in
       let plan = Rns.plan_exn ~m:2 ~r:3 ~basis:[ 8191; 8179 ] ~cin () in
       Itensor.equal
-        (direct_conv_int ~r:3 ~pad x wt)
+        (Oracle.direct_int ~pad ~x ~w:wt ())
         (Rns.conv2d plan ~pad ~x ~w:wt ()))
 
 (* F(4,3) on the paper's 8-bit prime basis (narrow value ranges). *)
@@ -114,7 +96,7 @@ let test_f4_paper_basis () =
     Rns.plan_exn ~m:4 ~r:3 ~basis:Rns.default_basis ~cin ~xmax:5 ~wmax:5 ()
   in
   Alcotest.check itensor "F4 rns on 251/241/239"
-    (direct_conv_int ~r:3 ~pad:1 x w)
+    (Oracle.direct_int ~pad:1 ~x ~w ())
     (Rns.conv2d plan ~pad:1 ~x ~w ())
 
 (* ------------------------------------------------------ typed rejection *)
@@ -190,7 +172,7 @@ let test_conv2d_int_rns_wrapper () =
   let x = itensor_of_rng rng [| 1; 4; 12; 12 |] 4 in
   let w = itensor_of_rng rng [| 3; 4; 3; 3 |] 4 in
   Alcotest.check itensor "Conv.conv2d_int_rns auto-basis"
-    (direct_conv_int ~r:3 ~pad:1 x w)
+    (Oracle.direct_int ~pad:1 ~x ~w ())
     (Conv.conv2d_int_rns ~m:6 ~r:3 ~pad:1 ~x ~w ())
 
 let test_relu_epilogue () =
@@ -201,7 +183,7 @@ let test_relu_epilogue () =
     Rns.plan_exn ~m:6 ~r:3 ~basis:[ 8191; 8179; 8171 ] ~cin:2 ~xmax:4 ~wmax:4
       ()
   in
-  let direct = direct_conv_int ~r:3 ~pad:1 x w in
+  let direct = Oracle.direct_int ~pad:1 ~x ~w () in
   let expect = Itensor.init direct.Itensor.shape (fun idx ->
       max 0 (Itensor.get4 direct idx.(0) idx.(1) idx.(2) idx.(3)))
   in
@@ -219,7 +201,7 @@ let () =
         [
           qt prop_f6_bit_exact;
           Alcotest.test_case "F6 vs i32_exact_ref" `Quick
-            test_f6_matches_i32_exact_ref;
+            test_f6_matches_i32_exact;
           qt prop_f2_full_int8_two_moduli;
           Alcotest.test_case "F4 paper basis" `Quick test_f4_paper_basis;
         ] );

@@ -173,29 +173,11 @@ let prop_conv_winograd_equals_direct =
 
 (* ------------------------------------------------------ bit-true integer *)
 
-let direct_conv_int ~pad x w =
-  let n = Itensor.dim x 0 and cin = Itensor.dim x 1 in
-  let h = Itensor.dim x 2 and wd = Itensor.dim x 3 in
-  let cout = Itensor.dim w 0 in
-  let ho = h + (2 * pad) - 2 and wo = wd + (2 * pad) - 2 in
-  Itensor.init [| n; cout; ho; wo |] (fun idx ->
-      let acc = ref 0 in
-      for ci = 0 to cin - 1 do
-        for ki = 0 to 2 do
-          for kj = 0 to 2 do
-            let hi = idx.(2) + ki - pad and wi = idx.(3) + kj - pad in
-            if hi >= 0 && hi < h && wi >= 0 && wi < wd then
-              acc := !acc + (Itensor.get4 x idx.(0) ci hi wi * Itensor.get4 w idx.(1) ci ki kj)
-          done
-        done
-      done;
-      !acc)
-
 let check_int_conv variant seed =
   let rng = Rng.create seed in
   let x = Itensor.init [| 1; 2; 8; 8 |] (fun _ -> Rng.int rng 255 - 128) in
   let w = Itensor.init [| 2; 2; 3; 3 |] (fun _ -> Rng.int rng 255 - 128) in
-  let direct = direct_conv_int ~pad:1 x w in
+  let direct = Oracle.direct_int ~pad:1 ~x ~w () in
   let wino = Conv.conv2d_int_bit_true ~variant ~pad:1 ~x ~w () in
   Alcotest.check itensor
     (Printf.sprintf "%s bit-true == direct" (Transform.name variant))
@@ -212,7 +194,7 @@ let prop_int_conv_bit_true =
       let h = 4 + Rng.int rng 8 and w = 4 + Rng.int rng 8 in
       let x = Itensor.init [| 1; 2; h; w |] (fun _ -> Rng.int rng 255 - 128) in
       let wt = Itensor.init [| 2; 2; 3; 3 |] (fun _ -> Rng.int rng 255 - 128) in
-      Itensor.equal (direct_conv_int ~pad:1 x wt)
+      Itensor.equal (Oracle.direct_int ~pad:1 ~x ~w:wt ())
         (Conv.conv2d_int_bit_true ~variant ~pad:1 ~x ~w:wt ()))
 
 (* ------------------------------------------------------------- generator *)
