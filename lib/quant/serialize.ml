@@ -181,10 +181,12 @@ let layer_to_string (l : Tapwise.layer) =
   let buf = Buffer.create 4096 in
   let c = l.Tapwise.config in
   Buffer.add_string buf "tapwise-layer v1\n";
+  (* The [true] token is the retired pow2 flag: every layer has pow2
+     scales, and the token keeps the format unchanged. *)
   Buffer.add_string buf
-    (Printf.sprintf "config %s %d %d %b %s\n"
+    (Printf.sprintf "config %s %d %d true %s\n"
        (Transform.name c.Tapwise.variant)
-       c.Tapwise.act_bits c.Tapwise.wino_bits c.Tapwise.pow2
+       c.Tapwise.act_bits c.Tapwise.wino_bits
        (granularity_name c.Tapwise.granularity));
   Buffer.add_string buf
     (Printf.sprintf "scales %d %h %h %h\n" l.Tapwise.pad l.Tapwise.s_x
@@ -215,16 +217,36 @@ let read_layer_body r =
   let variant = variant_of_name r (read_word r) in
   let act_bits = read_int_in r ~what:"act_bits" 1 30 in
   let wino_bits = read_int_in r ~what:"wino_bits" 1 30 in
-  let pow2 = read_bool r in
+  let pow2_start = r.pos in
+  if not (read_bool r) then
+    fail_at pow2_start
+      "pow2 false is not supported: the integer datapath requires \
+       power-of-two tap scales";
   let granularity = granularity_of_name r (read_word r) in
-  let config = { Tapwise.variant; act_bits; wino_bits; pow2; granularity } in
+  let config = { Tapwise.variant; act_bits; wino_bits; granularity } in
   let t = Transform.t variant in
   expect r "scales";
   let pad = read_int_in r ~what:"pad" 0 64 in
   let s_x = read_finite_scale r ~what:"s_x" in
   let s_w = read_finite_scale r ~what:"s_w" in
   let s_y = read_finite_scale r ~what:"s_y" in
+  let s_b_start = r.pos in
   let s_b = read_scale_grid r ~what:"s_b" ~t in
+  (* The forward requantizes each input tap with a shift of
+     log2 (s_b/s_x); an inexact ratio would be silently rounded. *)
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j v ->
+          let mant, e = Float.frexp (v /. s_x) in
+          if mant <> 0.5 || Float.ldexp s_x (e - 1) <> v then
+            fail_at s_b_start
+              (Printf.sprintf
+                 "tap scale s_b(%d,%d) = %h is not a power-of-two multiple \
+                  of s_x = %h"
+                 i j v s_x))
+        row)
+    s_b;
   let s_g = read_scale_grid r ~what:"s_g" ~t in
   expect r "per-channel";
   let n_channel_start = r.pos in

@@ -11,7 +11,11 @@
     and bounded by the remaining input, element counts cannot overflow,
     scales must be positive finite floats, and cross-field invariants
     (grid sizes vs. the transform variant, per-channel counts vs. output
-    channels) are checked.  Malformed input yields a typed {!error} with
+    channels) are checked.  A tap-wise layer must be the integer
+    datapath's: its config token for the retired pow2 flag must read
+    [true] (writers always emit it), and every input tap scale
+    [s_b(i,j)] must be an exact power-of-two multiple of [s_x], since the
+    forward requantizes each tap by a shift of [log2 (s_b/s_x)].  Malformed input yields a typed {!error} with
     the byte offset of the offending token — never [Scanf.Scan_failure],
     [End_of_file], [Out_of_memory] or a silent half-parsed value. *)
 

@@ -10,12 +10,11 @@ type config = {
   variant : Transform.variant;
   act_bits : int;
   wino_bits : int;
-  pow2 : bool;
   granularity : granularity;
 }
 
 let default_config variant =
-  { variant; act_bits = 8; wino_bits = 8; pow2 = true; granularity = Tap_wise }
+  { variant; act_bits = 8; wino_bits = 8; granularity = Tap_wise }
 
 type layer = {
   config : config;
@@ -110,7 +109,7 @@ let input_tap_maxima variant ~pad ~act_bits ~s_x samples =
   maxima
 
 let calibrate ~config ~w ?bias ?input_scale ?scale_grids ~sample_inputs ~pad () =
-  let { variant; act_bits; wino_bits; pow2; granularity } = config in
+  let { variant; act_bits; wino_bits; granularity } = config in
   let t = Transform.t variant in
   let cout = Tensor.dim w 0 and cin = Tensor.dim w 1 in
   (* Spatial-domain scales from plain max calibration; a fixed input scale
@@ -122,11 +121,13 @@ let calibrate ~config ~w ?bias ?input_scale ?scale_grids ~sample_inputs ~pad () 
         let x_max =
           List.fold_left (fun a x -> Float.max a (Tensor.max_abs x)) 0.0 sample_inputs
         in
-        let s = Quantizer.scale_for ~bits:act_bits ~max_abs:x_max in
-        if pow2 then Quantizer.pow2_round_up s else s
+        Quantizer.pow2_round_up
+          (Quantizer.scale_for ~bits:act_bits ~max_abs:x_max)
   in
-  let s_w = Quantizer.scale_for ~bits:act_bits ~max_abs:(Tensor.max_abs w) in
-  let s_w = if pow2 then Quantizer.pow2_round_up s_w else s_w in
+  let s_w =
+    Quantizer.pow2_round_up
+      (Quantizer.scale_for ~bits:act_bits ~max_abs:(Tensor.max_abs w))
+  in
   let w_fq = Quantizer.fake_quant_tensor ~bits:act_bits ~scale:s_w w in
   (* Winograd-domain tap scales. *)
   let g_max, g_max_channel, w_tiles = weight_tap_maxima variant w_fq in
@@ -142,21 +143,15 @@ let calibrate ~config ~w ?bias ?input_scale ?scale_grids ~sample_inputs ~pad () 
     | Tap_wise | Channel_tap_wise -> (s_b, s_g)
     | Single_scale -> (tie_single_scale s_b, tie_single_scale s_g)
   in
-  let s_b = if pow2 then pow2_align ~base:s_x s_b else s_b in
-  let s_g = if pow2 then pow2_align ~base:s_w s_g else s_g in
   (* Externally learned tap scales (e.g. from Winograd-aware training with
-     log2-gradient scale learning) override the static calibration; they
-     are still snapped onto the pow2 grid of the integer datapath. *)
+     log2-gradient scale learning) override the static calibration; every
+     grid is snapped onto the pow2 grid of the integer datapath. *)
   let s_b, s_g =
     match scale_grids with
     | None -> (s_b, s_g)
-    | Some (learned_b, learned_g) ->
-        let snap base g =
-          if pow2 then pow2_align ~base (Array.map Array.copy g)
-          else Array.map Array.copy g
-        in
-        (snap s_x learned_b, snap s_w learned_g)
+    | Some learned -> learned
   in
+  let s_b = pow2_align ~base:s_x s_b and s_g = pow2_align ~base:s_w s_g in
   (* The combined strategy refines the weight scales per output channel
      (Sec. V-A4: "combining channel-wise with tap-wise"). *)
   let s_g_channel =
@@ -164,9 +159,7 @@ let calibrate ~config ~w ?bias ?input_scale ?scale_grids ~sample_inputs ~pad () 
     | Channel_tap_wise ->
         Some
           (Array.map
-             (fun grid ->
-               let grid = to_scales grid in
-               if pow2 then pow2_align ~base:s_w grid else grid)
+             (fun grid -> pow2_align ~base:s_w (to_scales grid))
              g_max_channel)
     | Tap_wise | Single_scale -> None
   in
@@ -196,8 +189,9 @@ let calibrate ~config ~w ?bias ?input_scale ?scale_grids ~sample_inputs ~pad () 
         Float.max a (Tensor.max_abs y))
       0.0 sample_inputs
   in
-  let s_y = Quantizer.scale_for ~bits:act_bits ~max_abs:y_max in
-  let s_y = if pow2 then Quantizer.pow2_round_up s_y else s_y in
+  let s_y =
+    Quantizer.pow2_round_up (Quantizer.scale_for ~bits:act_bits ~max_abs:y_max)
+  in
   { config; pad; s_x; s_w; s_y; s_b; s_g; s_g_channel; wq; bias }
 
 let shift_of_ratio ratio = int_of_float (Float.round (Float.log2 ratio))
@@ -206,20 +200,17 @@ let input_shift l i j = shift_of_ratio (l.s_b.(i).(j) /. l.s_x)
 let weight_shift l i j = shift_of_ratio (l.s_g.(i).(j) /. l.s_w)
 
 (* Requantize one integer Winograd tap: X_int carries value X_int·s_x; the
-   target grid is s_b.  Under pow2 the ratio is an exact power of two and we
-   use the hardware round-shift; otherwise a float round. *)
-let requant_tap ~pow2 ~bits ~s_from ~s_to v =
-  if pow2 then begin
-    let k = shift_of_ratio (s_to /. s_from) in
-    let shifted = if k >= 0 then Itensor.round_shift v k else v lsl -k in
-    Itensor.clamp_int ~bits shifted
-  end
-  else Itensor.clamp_int ~bits (int_of_float (Float.round (float_of_int v *. s_from /. s_to)))
+   target grid is s_b, an exact power-of-two multiple of it, so the rescale
+   is the hardware round-shift. *)
+let requant_tap ~bits ~s_from ~s_to v =
+  let k = shift_of_ratio (s_to /. s_from) in
+  let shifted = if k >= 0 then Itensor.round_shift v k else v lsl -k in
+  Itensor.clamp_int ~bits shifted
 
 (* Tile-major reference path for the integer pipeline — kept as the
    oracle for the tap-major [forward_int] below. *)
 let forward_int_ref l x_int =
-  let { variant; act_bits; wino_bits; pow2; _ } = l.config in
+  let { variant; act_bits; wino_bits; _ } = l.config in
   let pad = l.pad in
   let t = Transform.t variant and m = Transform.m variant in
   let n = Itensor.dim x_int 0 and cin = Itensor.dim x_int 1 in
@@ -249,7 +240,7 @@ let forward_int_ref l x_int =
                 float_of_int (Transform.bt_scale variant * Transform.bt_scale variant)
               in
               Itensor.init [| t; t |] (fun idx ->
-                  requant_tap ~pow2 ~bits:wino_bits ~s_from:(l.s_x /. bt2)
+                  requant_tap ~bits:wino_bits ~s_from:(l.s_x /. bt2)
                     ~s_to:l.s_b.(idx.(0)).(idx.(1))
                     (Itensor.get2 xt idx.(0) idx.(1))))
         in
@@ -290,24 +281,12 @@ let forward_int_ref l x_int =
   done;
   out
 
-(* Per-domain staging for the tap-major integer forward (one arena per
-   logically distinct buffer — see {!Twq_util.Parallel.Scratch}). *)
-module P = Twq_util.Parallel
 module Kernels = Twq_winograd.Kernels
 module Microkernel = Twq_winograd.Microkernel
 
-let ta_tile = P.Scratch.create_int ()
-let ta_xt = P.Scratch.create_int ()
-let ta_tmp = P.Scratch.create_int ()
-let ta_v = P.Scratch.create_int ()
-let ta_mo = P.Scratch.create_int ()
-let ta_yw = P.Scratch.create_float ()
-let ta_yo = P.Scratch.create_float ()
-let ta_ftmp = P.Scratch.create_float ()
-
 (* Everything about the layer that does not depend on the input shape,
    staged once: the tap-major Winograd weight panel [u], the flattened
-   tap-scale lookups and the requant source scale.  [forward_int]
+   tap-scale lookups and the per-tap requant shifts.  [forward_int]
    rebuilt these on every call before the planner existed; packing at
    plan/lowering time removes that per-forward cost entirely. *)
 type packed = {
@@ -324,14 +303,12 @@ type packed = {
   tap_density : float array;  (* measured nonzero fraction per tap *)
   sb_flat : float array;
   ws_flat : float array;
-  s_from : float;
-  (* Requant lookups, one entry per tap.  The scatter loop runs per
-     element; going through [requant_tap] there boxes its float
+  (* Requant shift per tap, s_b(tap)/s_from = 2^k.  The scatter hook
+     runs per element; going through [requant_tap] there boxes its float
      arguments on every call (no flambda), which was the dominant
      steady-state allocation of the whole forward.  Precomputing the
-     pow2 shift per tap lets the hot loop stay in unboxed int/float
-     arithmetic. *)
-  shift_flat : int array;  (* pow2: requant shift, s_b(tap)/s_from = 2^k *)
+     shift per tap lets the hot loop stay in unboxed int arithmetic. *)
+  shift_flat : int array;
 }
 
 let pack l =
@@ -351,15 +328,10 @@ let pack l =
   let { Microkernel.nr; _ } = Microkernel.config () in
   let cout_p = Microkernel.round_up cout nr in
   let ucincp = cin * cout_p in
-  let u = Array.make (tt * ucincp) 0 in
-  P.parallel_for ~lo:0 ~hi:(cout * cin) (fun idx ->
-      let co = idx / cin and ci = idx mod cin in
-      let jb = co / nr and jr = co mod nr in
-      let base = (((jb * cin) + ci) * nr) + jr in
-      for tap = 0 to tt - 1 do
-        u.((tap * ucincp) + base) <-
-          Itensor.get4 l.wq co ci (tap / t) (tap mod t)
-      done);
+  let u =
+    Kernels.pack_weights Kernels.i32_lane ~panels:tt ~cin ~cout
+      l.wq.Itensor.data
+  in
   let s_from = l.s_x /. bt2 in
   let shift_flat =
     Array.init tt (fun tap -> shift_of_ratio (sb_flat.(tap) /. s_from))
@@ -383,17 +355,7 @@ let pack l =
         tap_density.(tap) <- d;
         if d < thresh then Some sp else None)
   in
-  {
-    layer = l;
-    u;
-    cout_p;
-    sparse;
-    tap_density;
-    sb_flat;
-    ws_flat;
-    s_from;
-    shift_flat;
-  }
+  { layer = l; u; cout_p; sparse; tap_density; sb_flat; ws_flat; shift_flat }
 
 let packed_layer p = p.layer
 let tap_densities p = Array.copy p.tap_density
@@ -403,18 +365,18 @@ let sparse_tap_count p =
     (fun acc s -> match s with Some _ -> acc + 1 | None -> acc)
     0 p.sparse
 
-(* Production path: the same integer pipeline reformulated tap-major —
-   transform + per-tap requantize each tile once, run one register-tiled
-   int GEMM per tap ({!Twq_winograd.Microkernel}) against the NR-packed
-   pre-quantized Winograd weights, rescale with [S_BG], back-transform,
-   requantize with [s_y].  Integer addition is associative, so the
-   blocked GEMM stays bit-identical to [forward_int_ref]; parallelized
-   over tile blocks.  Writes into the caller-provided [out] and applies
-   [epilogue] in the gather store, so the planner can fuse
-   requant/ReLU/residual-add into this single output pass. *)
+(* Production path: the same integer pipeline run by the shared
+   tap-major loop ({!Twq_winograd.Kernels.tap_major}) — transform +
+   per-tap requantize each tile once, run one register-tiled int GEMM per
+   tap ({!Twq_winograd.Microkernel}) against the NR-packed pre-quantized
+   Winograd weights, rescale with [S_BG], back-transform, requantize with
+   [s_y].  Integer addition is associative, so the blocked GEMM stays
+   bit-identical to [forward_int_ref].  Writes into the caller-provided
+   [out] and applies [epilogue] in the gather store, so the planner can
+   fuse requant/ReLU/residual-add into this single output pass. *)
 let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
   let l = p.layer in
-  let { variant; act_bits; wino_bits; pow2; _ } = l.config in
+  let { variant; act_bits; wino_bits; _ } = l.config in
   let pad = l.pad in
   let t = Transform.t variant and m = Transform.m variant in
   let tt = t * t in
@@ -428,10 +390,8 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
     Itensor.dim out 0 <> n || Itensor.dim out 1 <> cout
     || Itensor.dim out 2 <> ho || Itensor.dim out 3 <> wo
   then invalid_arg "Tapwise.forward_int_into: out shape mismatch";
-  let od = out.Itensor.data and xd = x_int.Itensor.data in
-  let ki = Kernels.i32_specialized variant in
+  let od = out.Itensor.data in
   let kf = Kernels.f32_specialized variant in
-  let s_from = p.s_from in
   let sb_flat = p.sb_flat and ws_flat = p.ws_flat and u = p.u in
   let shift_flat = p.shift_flat in
   (* Clamp bounds and the output scale, hoisted so the per-element
@@ -444,135 +404,67 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
   let cout_p = p.cout_p in
   let ucincp = cin * cout_p in
   let { Microkernel.mr; nr; kc } = Microkernel.config () in
-  let n_th = (ho + m - 1) / m and n_tw = (wo + m - 1) / m in
-  let tiles_per_img = n_th * n_tw in
-  let total = n * tiles_per_img in
-  let tb =
-    Microkernel.round_up
-      (max 1 (min 32 (total / (max 1 (4 * P.num_domains ())))))
-      mr
-  in
-  let tbcin = tb * cin in
-  let nblocks = (total + tb - 1) / tb in
-  P.parallel_for ~chunk:1 ~lo:0 ~hi:nblocks (fun blk ->
-      let b0 = blk * tb in
-      let bs = min tb (total - b0) in
-      let bs_p = Microkernel.round_up bs mr in
-      let tile = P.Scratch.borrow ta_tile tt in
-      let xt = P.Scratch.borrow ta_xt tt in
-      let tmp = P.Scratch.borrow ta_tmp tt in
-      let v = P.Scratch.borrow ta_v (tt * tbcin) in
-      let mo = P.Scratch.borrow ta_mo (tt * tb * cout_p) in
-      let yw = P.Scratch.borrow ta_yw tt in
-      let yo = P.Scratch.borrow ta_yo (m * m) in
-      let ftmp = P.Scratch.borrow ta_ftmp (m * t) in
-      (* Scatter: integer transform + per-tap requantization. *)
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        let ib = bidx / mr and ir = bidx mod mr in
-        for ci = 0 to cin - 1 do
-          Kernels.load_tile_i xd ~h ~w
-            ~base:(((ni * cin) + ci) * h * w)
-            ~pad ~h0:(th * m) ~w0:(tw * m) ~t tile;
-          ki.Kernels.input tile 0 xt 0 tmp;
-          let vbase = (((ib * cin) + ci) * mr) + ir in
-          (* Per-tap requant, inlined bit-identically to [requant_tap]:
-             calling it here would box the float scales every element. *)
-          for tap = 0 to tt - 1 do
-            let vv = xt.(tap) in
-            let q =
-              if pow2 then begin
-                let k = shift_flat.(tap) in
-                let shifted =
-                  if k > 0 then begin
-                    let half = 1 lsl (k - 1) in
-                    if vv >= 0 then (vv + half) asr k
-                    else -((-vv + half) asr k)
-                  end
-                  else if k = 0 then vv
-                  else vv lsl -k
-                in
-                if shifted > w_hi then w_hi
-                else if shifted < w_lo then w_lo
-                else shifted
-              end
-              else begin
-                let r =
-                  int_of_float
-                    (Float.round (float_of_int vv *. s_from /. sb_flat.(tap)))
-                in
-                if r > w_hi then w_hi else if r < w_lo then w_lo else r
-              end
-            in
-            v.((tap * tbcin) + vbase) <- q
-          done
-        done
-      done;
-      (* Zero the pad rows of a trailing partial block. *)
-      for bidx = bs to bs_p - 1 do
-        let ib = bidx / mr and ir = bidx mod mr in
-        for ci = 0 to cin - 1 do
-          let vbase = (((ib * cin) + ci) * mr) + ir in
-          for tap = 0 to tt - 1 do
-            v.((tap * tbcin) + vbase) <- 0
-          done
-        done
-      done;
-      (* One register-tiled int GEMM per tap (int2b accumulation over
-         input channels, exact and order-independent).  Taps whose
-         packed panel came out below the sparse threshold run the
-         compressed-column driver — bit-identical, it only skips exact
-         zeros. *)
-      Array.fill mo 0 (tt * tb * cout_p) 0;
+  Kernels.tap_major Kernels.i32_lane Kernels.f32_lane
+    (Kernels.i32_specialized variant)
+    ~panels:tt ~pad ~x:x_int.Itensor.data ~n ~cin ~h ~w ~cout
+    ~weights:(Kernels.Packed u)
+    (* Per-tap requant, inlined bit-identically to [requant_tap]:
+       calling it here would box the float scales every element. *)
+    ~scatter:(fun xt v vbase stride ->
       for tap = 0 to tt - 1 do
-        match p.sparse.(tap) with
-        | Some sp ->
-            Microkernel.gemm_i32_sparse ~mr ~rows_p:bs_p ~sp ~vp:v
-              ~vo:(tap * tbcin) ~c:mo ~co:(tap * tb * cout_p)
-              ~cstride:cout_p
-        | None ->
-            Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p:bs_p ~cols_p:cout_p
-              ~k:cin ~vp:v ~vo:(tap * tbcin) ~up:u ~uo:(tap * ucincp) ~c:mo
-              ~co:(tap * tb * cout_p) ~cstride:cout_p
-      done;
-      (* Gather: single S_BG rescale, float back-transform, requantize. *)
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        let h0 = th * m and w0 = tw * m in
-        let rh = min m (ho - h0) and rw = min m (wo - w0) in
-        for co = 0 to cout - 1 do
-          for tap = 0 to tt - 1 do
-            yw.(tap) <-
-              float_of_int mo.((((tap * tb) + bidx) * cout_p) + co)
-              *. sb_flat.(tap)
-              *. ws_flat.((co * tt) + tap)
-          done;
-          kf.Kernels.output yw 0 yo 0 ftmp;
-          let bias_v =
-            match l.bias with None -> 0.0 | Some b -> b.Tensor.data.(co)
-          in
-          for dy = 0 to rh - 1 do
-            let orow = (((((ni * cout) + co) * ho) + h0 + dy) * wo) + w0 in
-            let yrow = dy * m in
-            for dx = 0 to rw - 1 do
-              (* Inlined [Quantizer.quantize ~bits:act_bits ~scale:s_y]. *)
-              let r =
-                int_of_float (Float.round ((yo.(yrow + dx) +. bias_v) /. s_y))
-              in
-              let q =
-                if r > a_hi then a_hi else if r < a_lo then a_lo else r
-              in
-              Kernels.epilogue_store epilogue od (orow + dx) q
-            done
+        let vv = xt.(tap) in
+        let k = shift_flat.(tap) in
+        let shifted =
+          if k > 0 then begin
+            let half = 1 lsl (k - 1) in
+            if vv >= 0 then (vv + half) asr k else -((-vv + half) asr k)
+          end
+          else if k = 0 then vv
+          else vv lsl -k
+        in
+        v.(vbase + (tap * stride)) <-
+          (if shifted > w_hi then w_hi
+           else if shifted < w_lo then w_lo
+           else shifted)
+      done)
+    (* int2b accumulation over input channels, exact and
+       order-independent.  Taps whose packed panel came out below the
+       sparse threshold run the compressed-column driver — bit-identical,
+       it only skips exact zeros. *)
+    ~gemm:(fun tap rows_p v vo mo co ->
+      match p.sparse.(tap) with
+      | Some sp ->
+          Microkernel.gemm_i32_sparse ~mr ~rows_p ~sp ~vp:v ~vo ~c:mo ~co
+            ~cstride:cout_p
+      | None ->
+          Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p:cout_p ~k:cin
+            ~vp:v ~vo ~up:u ~uo:(tap * ucincp) ~c:mo ~co ~cstride:cout_p)
+    (* Single S_BG rescale, float back-transform, requantize. *)
+    ~gather:(fun mo off stride yw yo ftmp obase rh rw ->
+      for co = 0 to cout - 1 do
+        for tap = 0 to tt - 1 do
+          yw.(tap) <-
+            float_of_int mo.(off + (tap * stride) + co)
+            *. sb_flat.(tap)
+            *. ws_flat.((co * tt) + tap)
+        done;
+        kf.Kernels.output yw 0 yo 0 ftmp;
+        let bias_v =
+          match l.bias with None -> 0.0 | Some b -> b.Tensor.data.(co)
+        in
+        for dy = 0 to rh - 1 do
+          let orow = obase + (((co * ho) + dy) * wo) and yrow = dy * m in
+          for dx = 0 to rw - 1 do
+            (* Inlined [Quantizer.quantize ~bits:act_bits ~scale:s_y]. *)
+            let r =
+              int_of_float (Float.round ((yo.(yrow + dx) +. bias_v) /. s_y))
+            in
+            let q = if r > a_hi then a_hi else if r < a_lo then a_lo else r in
+            Kernels.epilogue_store epilogue od (orow + dx) q
           done
         done
       done)
+    ()
 
 let forward_int l x_int =
   let p = pack l in

@@ -11,8 +11,11 @@
       y = Aᵀ ( S_BG ⊙ Σ_cin ⌊Bᵀ x̂ B ⊘ S_B⌉ ⊙ ⌊G f̂ Gᵀ ⊘ S_G⌉ ) A
     v}
 
-    With [pow2 = true] every per-tap rescale in the integer datapath is an
-    exact arithmetic shift (the hardware-friendly configuration). *)
+    Every scale is a power of two, and every input tap scale an exact
+    power-of-two multiple of [s_x], so each per-tap rescale in the integer
+    datapath is an arithmetic shift (the hardware-friendly configuration
+    of Sec. III-B).  Non-power-of-two scales exist only in QAT
+    ([Twq_nn.Qat_model]'s [pow2] flag, the Table II ±pow2 rows). *)
 
 type granularity =
   | Single_scale  (** one scale per transformation — the [F4]-breaks baseline *)
@@ -26,12 +29,11 @@ type config = {
   variant : Twq_winograd.Transform.variant;
   act_bits : int;   (** spatial-domain bits (8 in the paper) *)
   wino_bits : int;  (** Winograd-domain bits (8, 9 or 10) *)
-  pow2 : bool;      (** restrict tap scales to power-of-two multiples *)
   granularity : granularity;
 }
 
 val default_config : Twq_winograd.Transform.variant -> config
-(** int8/int8, pow2, tap-wise. *)
+(** int8/int8, tap-wise. *)
 
 type layer = {
   config : config;
@@ -68,13 +70,16 @@ val calibrate :
     layers can agree on the inter-layer scales ([s_x = s_y] of the
     producer), which keeps the whole network integer-only.
     [scale_grids] = (S_B, S_G) injects externally learned tap scales (the
-    log2-gradient training of Sec. III-B) instead of static calibration;
-    they are snapped to the pow2 grid when [pow2] is set. *)
+    log2-gradient training of Sec. III-B) instead of static calibration.
+    [s_x], [s_w] and [s_y] are rounded up to powers of two (a pinned
+    [input_scale] is kept as given), and every tap scale, calibrated or
+    learned, is snapped up to a power-of-two multiple of [s_x] (for
+    [S_B]) or [s_w] (for [S_G]). *)
 
 val input_shift : layer -> int -> int -> int
 (** [input_shift l i j] — the right-shift applied to tap (i,j) of the
-    integer input transform ([log2 (s_b/s_x)]); only meaningful under
-    [pow2]. Matches the paper's learned feature-map shifts (1–5 bits). *)
+    integer input transform ([log2 (s_b/s_x)]). Matches the paper's
+    learned feature-map shifts (1–5 bits). *)
 
 val weight_shift : layer -> int -> int -> int
 (** Same for the weight taps (2–10 bits in the paper). *)
@@ -82,7 +87,7 @@ val weight_shift : layer -> int -> int -> int
 type packed
 (** A layer plus everything shape-independent the tap-major forward
     needs, staged once: the tap-major Winograd weight panel, flattened
-    tap-scale lookups and the requant source scale.  Packing at plan
+    tap-scale lookups and the per-tap requant shifts.  Packing at plan
     time removes the per-forward weight-panel rebuild. *)
 
 val pack : layer -> packed
@@ -119,9 +124,9 @@ val forward_int_into :
 
 val forward_int : layer -> Twq_tensor.Itensor.t -> Twq_tensor.Itensor.t
 (** int8 NCHW in → int8 NCHW out (requantized with [s_y]).  Runs the
-    allocation-free tap-major {!Twq_winograd.Kernels} path ({!pack} +
-    {!forward_int_into} with the identity epilogue); bit-identical to
-    {!forward_int_ref}. *)
+    allocation-free shared tap-major loop
+    ({!Twq_winograd.Kernels.tap_major}: {!pack} + {!forward_int_into}
+    with the identity epilogue); bit-identical to {!forward_int_ref}. *)
 
 val forward_int_ref : layer -> Twq_tensor.Itensor.t -> Twq_tensor.Itensor.t
 (** Tile-major reference implementation of the integer pipeline — the

@@ -12,21 +12,24 @@
    decompositions are unconditionally bit-identical to
    [Transform.int_sandwich].
 
-   The conv drivers are tap-major: tiles are scattered into t·t per-tap
-   [tiles × cin] panels, one flat GEMM per tap runs against the
-   [cin × cout] transformed weights, and outputs gather back through the
-   inverse transform.  All staging lives in per-domain scratch arenas —
-   the tile loop allocates nothing.
+   Every tap-major convolution in the library runs through one loop,
+   [tap_major]: tiles are scattered into per-tap [tiles × cin] panels,
+   one flat GEMM per panel runs against the [cin × cout] transformed
+   weights, and outputs gather back through the inverse transform.  The
+   callers ([conv2d_f32], [conv2d_i32_exact] here, [Rns.conv2d] and
+   [Tapwise.forward_int_into]) differ only in three typed hooks —
+   scatter, GEMM, gather.  All staging lives in per-domain scratch
+   arenas, one set per element type — the tile loop allocates nothing.
 
-   The per-tap GEMMs run through [Microkernel]: both operands are packed
-   into register-block panels (tiles MR-packed during scatter, weights
-   NR-packed during the weight transform) and the product is computed by
-   MR×NR accumulator-block kernels under KC cache blocking; see
-   Microkernel for the ordering contract (ascending cin per output) that
-   keeps the float driver equal to the generic sandwich.  This module
-   keeps no oracle: the tests compare [conv2d_f32] with the tile-major
-   float Winograd convolution and [conv2d_i32_exact] with the direct
-   integer convolution, both in [test/oracle.ml]. *)
+   The per-panel GEMMs run through [Microkernel]: both operands are
+   packed into register-block panels (tiles MR-packed during scatter,
+   weights NR-packed during the weight transform) and the product is
+   computed by MR×NR accumulator-block kernels under KC cache blocking;
+   see Microkernel for the ordering contract (ascending cin per output)
+   that keeps the float driver equal to the generic sandwich.  This
+   module keeps no oracle: the tests compare [conv2d_f32] with the
+   tile-major float Winograd convolution and [conv2d_i32_exact] with the
+   direct integer convolution, both in [test/oracle.ml]. *)
 
 module P = Twq_util.Parallel
 module Tensor = Twq_tensor.Tensor
@@ -492,7 +495,7 @@ let i32_of_mats ~bt ~g ~at =
   let r = Array.length g.(0) in
   make ~t ~m ~r ~bt:(plan_step_i bt) ~g:(plan_step_i g) ~at:(plan_step_i at)
 
-(* ---------- tap-major convolution drivers ---------- *)
+(* ---------- the tap-major loop ---------- *)
 
 let load_tile_f (xd : float array) ~h ~w ~base ~pad ~h0 ~w0 ~t dst =
   for dy = 0 to t - 1 do
@@ -522,277 +525,241 @@ let load_tile_i (xd : int array) ~h ~w ~base ~pad ~h0 ~w0 ~t dst =
     end
   done
 
-(* One arena per logically distinct buffer (borrows from the same arena
-   alias on a domain). *)
-let fa_tile = P.Scratch.create_float ()
-let fa_xt = P.Scratch.create_float ()
-let fa_tmp = P.Scratch.create_float ()
-let fa_v = P.Scratch.create_float ()
-let fa_mo = P.Scratch.create_float ()
-let fa_yw = P.Scratch.create_float ()
-let fa_yo = P.Scratch.create_float ()
-let fa_u = P.Scratch.create_float ()
-let ia_tile = P.Scratch.create_int ()
-let ia_xt = P.Scratch.create_int ()
-let ia_tmp = P.Scratch.create_int ()
-let ia_v = P.Scratch.create_int ()
-let ia_mo = P.Scratch.create_int ()
-let ia_yw = P.Scratch.create_int ()
-let ia_yo = P.Scratch.create_int ()
-let ia_u = P.Scratch.create_int ()
+(* [copy n src soff sstride dst doff dstride]: strided element copy. *)
+let copy_f n (src : float array) soff sstride (dst : float array) doff dstride =
+  for i = 0 to n - 1 do
+    dst.(doff + (i * dstride)) <- src.(soff + (i * sstride))
+  done
 
-(* Tiles per block: big enough that the per-tap GEMM runs over a panel,
+let copy_i n (src : int array) soff sstride (dst : int array) doff dstride =
+  for i = 0 to n - 1 do
+    dst.(doff + (i * dstride)) <- src.(soff + (i * sstride))
+  done
+
+(* The element type the loop runs on.  Every per-element access goes
+   through one of these typed closures, so the generic loop never reads
+   or writes a float itself and boxes nothing.  One arena per logically
+   distinct buffer (borrows from the same arena alias on a domain); the
+   gather hook gets [s_xt]/[s_tile]/[s_tmp] of its own lane, which the
+   scatter phase of the same block has finished with. *)
+type 'a lane = {
+  zero : 'a;
+  load : 'a array -> h:int -> w:int -> base:int -> pad:int -> h0:int ->
+    w0:int -> t:int -> 'a array -> unit;
+  copy : int -> 'a array -> int -> int -> 'a array -> int -> int -> unit;
+  gemm : mr:int -> nr:int -> kc:int -> rows_p:int -> cols_p:int -> k:int ->
+    vp:'a array -> vo:int -> up:'a array -> uo:int -> c:'a array -> co:int ->
+    cstride:int -> unit;
+  s_tile : 'a P.Scratch.arena;
+  s_xt : 'a P.Scratch.arena;
+  s_tmp : 'a P.Scratch.arena;
+  s_v : 'a P.Scratch.arena;
+  s_mo : 'a P.Scratch.arena;
+  s_u : 'a P.Scratch.arena;
+}
+
+let lane zero load copy gemm =
+  let arena () = P.Scratch.create zero in
+  { zero; load; copy; gemm; s_tile = arena (); s_xt = arena ();
+    s_tmp = arena (); s_v = arena (); s_mo = arena (); s_u = arena () }
+
+let f32_lane = lane 0.0 load_tile_f copy_f Microkernel.gemm_f32
+let i32_lane = lane 0 load_tile_i copy_i Microkernel.gemm_i32
+
+type 'a put = 'a array -> 'a array -> int -> int -> unit
+
+type ('a, 'g) gather =
+  'a array -> int -> int -> 'g array -> 'g array -> 'g array -> int -> int ->
+  int -> unit
+
+type 'a weights = Packed of 'a array | Filters of 'a array
+
+(* Weights are NR-packed —
+   [u.(p·cin·cout_p + ((jb·cin + ci)·nr + jr))] with [co = jb·nr+jr] and
+   [cout_p = round_up cout nr]; [put co ci u base stride] writes panel
+   [p]'s value of filter (co, ci) at [base + p·stride].  Pad lanes
+   [co ≥ cout] are zeroed. *)
+let pack_into la ~panels ~cin ~cout u put =
+  let { Microkernel.nr; _ } = Microkernel.config () in
+  let cout_p = Microkernel.round_up cout nr in
+  let ucincp = cin * cout_p in
+  P.parallel_for ~lo:0 ~hi:(cout * cin) (fun idx ->
+      let co = idx / cin and ci = idx mod cin in
+      put co ci u ((((co / nr * cin) + ci) * nr) + (co mod nr)) ucincp);
+  for co = cout to cout_p - 1 do
+    for ci = 0 to cin - 1 do
+      let base = (((co / nr * cin) + ci) * nr) + (co mod nr) in
+      for p = 0 to panels - 1 do
+        u.((p * ucincp) + base) <- la.zero
+      done
+    done
+  done
+
+let pack_weights la ~panels ~cin ~cout src =
+  let cout_p = Microkernel.round_up cout (Microkernel.config ()).nr in
+  let u = Array.make (panels * cin * cout_p) la.zero in
+  pack_into la ~panels ~cin ~cout u (fun co ci dst base stride ->
+      la.copy panels src (((co * cin) + ci) * panels) 1 dst base stride);
+  u
+
+(* Tiles per block: big enough that each panel GEMM runs over a panel,
    small enough to keep all domains busy.  Per-tile results do not depend
    on the grouping, so any block size is bit-identical. *)
 let block_of ~total =
   let nd = P.num_domains () in
-  max 1 (min 32 (total / (max 1 (4 * nd))))
+  max 1 (min 32 (total / max 1 (4 * nd)))
 
-(* ---------- microkernel (packed, register-tiled) drivers ---------- *)
+(* Per block of output tiles, with both GEMM operands in register-block
+   panels (see Microkernel):
 
-(* The drivers scatter tiles into per-tap panels, run one GEMM per tap
-   and gather back through the inverse transform — per (tile, tap, co)
-   the same ascending-cin sum as the tile-major float oracle in
-   [test/oracle.ml] — and stage both GEMM operands in register-block
-   panels:
+   - scatter: each (tile, ci) is loaded zero-padded and input-transformed,
+     and the hook spreads it over the MR-packed panels —
+     [v.(p·tb·cin + ((ib·cin + ci)·mr + ir))] with [bidx = ib·mr+ir];
+     pad rows of a trailing partial block are zeroed so their products
+     are exact zeros;
+   - one GEMM per panel accumulates into the [tb × cout_p] slab of [mo]
+     in ascending [ci] — per (tile, tap, co) the same left fold as the
+     tile-major oracle;
+   - gather: the hook reads each tile's [cout_p]-strided row of every
+     slab (never the pad columns) and writes its output crop.
 
-   - weights are NR-packed while they are transformed —
-     [u.(tap·cin·cout_p + ((jb·cin + ci)·nr + jr))] with [co = jb·nr+jr],
-     [cout_p = round_up cout nr], pad lanes zeroed once per call;
-   - tiles are MR-packed during scatter —
-     [v.(tap·tb·cin + ((ib·cin + ci)·mr + ir))] with [bidx = ib·mr+ir],
-     [tb] rounded up to a multiple of MR, pad rows of a trailing partial
-     block zeroed;
-   - per tap, one [Microkernel.gemm_*] call accumulates into the
-     [tb × cout_p] slab of [mo]; gather reads [cout_p]-strided rows and
-     never touches the pad columns.
-
-   [u] itself is borrowed from a per-domain arena instead of allocated
-   per call — the last steady-state allocation of the tap-major path. *)
-
-let conv2d_f32 k ~pad ~x ~w =
-  let n = Tensor.dim x 0 and cin = Tensor.dim x 1 in
-  let h = Tensor.dim x 2 and wd = Tensor.dim x 3 in
-  let cout = Tensor.dim w 0 in
+   All staging lives in the lanes' per-domain arenas: the loop allocates
+   nothing per tile. *)
+let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~scatter
+    ?gemm ~gather () =
   let t = k.tile and m = k.mout in
-  let r = t - m + 1 in
-  if Tensor.dim w 1 <> cin then
-    invalid_arg "Kernels.conv2d_f32: channel mismatch";
-  if Tensor.dim w 2 <> r || Tensor.dim w 3 <> r then
-    invalid_arg "Kernels.conv2d_f32: kernel size mismatch";
-  let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:r ~kw:r ~stride:1 ~pad in
-  let tt = t * t in
-  let out = Tensor.zeros [| n; cout; ho; wo |] in
-  let od = out.Tensor.data and xd = x.Tensor.data in
+  let r = t - m + 1 and tt = t * t in
+  let ho, wo = Shape.conv2d_out ~h ~w ~kh:r ~kw:r ~stride:1 ~pad in
   let { Microkernel.mr; nr; kc } = Microkernel.config () in
   let cout_p = Microkernel.round_up cout nr in
   let ucincp = cin * cout_p in
-  (* Transformed weights, NR-packed; borrowed by the caller so all
-     weight-transform workers write into the same panel. *)
-  let u = P.Scratch.borrow fa_u (tt * ucincp) in
-  P.parallel_for ~lo:0 ~hi:(cout * cin) (fun idx ->
-      let co = idx / cin and ci = idx mod cin in
-      let f = P.Scratch.borrow fa_tile (r * r) in
-      let wt = P.Scratch.borrow fa_xt tt in
-      let tmp = P.Scratch.borrow fa_tmp (t * r) in
-      Array.blit w.Tensor.data (((co * cin) + ci) * r * r) f 0 (r * r);
-      k.weight f 0 wt 0 tmp;
-      let jb = co / nr and jr = co mod nr in
-      let base = (((jb * cin) + ci) * nr) + jr in
-      for tap = 0 to tt - 1 do
-        u.((tap * ucincp) + base) <- wt.(tap)
-      done);
-  if cout_p > cout then
-    for co = cout to cout_p - 1 do
-      let jb = co / nr and jr = co mod nr in
-      for ci = 0 to cin - 1 do
-        let base = (((jb * cin) + ci) * nr) + jr in
-        for tap = 0 to tt - 1 do
-          u.((tap * ucincp) + base) <- 0.0
-        done
-      done
-    done;
+  let u =
+    match weights with
+    | Packed u -> u
+    | Filters f ->
+        (* Transformed once per call, through the scatter hook, into a
+           panel every weight worker writes. *)
+        let u = P.Scratch.borrow la.s_u (panels * ucincp) in
+        pack_into la ~panels ~cin ~cout u (fun co ci dst base stride ->
+            let g = P.Scratch.borrow la.s_tile (r * r) in
+            let wt = P.Scratch.borrow la.s_xt tt in
+            let tmp = P.Scratch.borrow la.s_tmp (t * r) in
+            Array.blit f (((co * cin) + ci) * r * r) g 0 (r * r);
+            k.weight g 0 wt 0 tmp;
+            scatter wt dst base stride);
+        u
+  in
+  let gemm =
+    match gemm with
+    | Some g -> g
+    | None ->
+        fun p rows_p v vo c co ->
+          la.gemm ~mr ~nr ~kc ~rows_p ~cols_p:cout_p ~k:cin ~vp:v ~vo ~up:u
+            ~uo:(p * ucincp) ~c ~co ~cstride:cout_p
+  in
   let n_th = (ho + m - 1) / m and n_tw = (wo + m - 1) / m in
   let tiles_per_img = n_th * n_tw in
   let total = n * tiles_per_img in
   let tb = Microkernel.round_up (block_of ~total) mr in
-  let tbcin = tb * cin in
+  let tbcin = tb * cin and slab = tb * cout_p in
   let nblocks = (total + tb - 1) / tb in
   P.parallel_for ~chunk:1 ~lo:0 ~hi:nblocks (fun blk ->
       let b0 = blk * tb in
       let bs = min tb (total - b0) in
       let bs_p = Microkernel.round_up bs mr in
-      let tile = P.Scratch.borrow fa_tile tt in
-      let xt = P.Scratch.borrow fa_xt tt in
-      let tmp = P.Scratch.borrow fa_tmp tt in
-      let v = P.Scratch.borrow fa_v (tt * tbcin) in
-      let mo = P.Scratch.borrow fa_mo (tt * tb * cout_p) in
-      let yw = P.Scratch.borrow fa_yw tt in
-      let yo = P.Scratch.borrow fa_yo (m * m) in
-      (* Scatter: transform each tile and spread its taps across the
-         per-tap MR-packed panels. *)
+      let tile = P.Scratch.borrow la.s_tile tt in
+      let xt = P.Scratch.borrow la.s_xt tt in
+      let tmp = P.Scratch.borrow la.s_tmp tt in
+      let v = P.Scratch.borrow la.s_v (panels * tbcin) in
+      let mo = P.Scratch.borrow la.s_mo (panels * slab) in
       for bidx = 0 to bs - 1 do
         let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
+        let ni = tidx / tiles_per_img and rest = tidx mod tiles_per_img in
+        let h0 = rest / n_tw * m and w0 = rest mod n_tw * m in
         let ib = bidx / mr and ir = bidx mod mr in
         for ci = 0 to cin - 1 do
-          load_tile_f xd ~h ~w:wd
-            ~base:(((ni * cin) + ci) * h * wd)
-            ~pad ~h0:(th * m) ~w0:(tw * m) ~t tile;
+          la.load x ~h ~w ~base:(((ni * cin) + ci) * h * w) ~pad ~h0 ~w0 ~t
+            tile;
           k.input tile 0 xt 0 tmp;
-          let vbase = (((ib * cin) + ci) * mr) + ir in
-          for tap = 0 to tt - 1 do
-            v.((tap * tbcin) + vbase) <- xt.(tap)
-          done
+          scatter xt v ((((ib * cin) + ci) * mr) + ir) tbcin
         done
       done;
-      (* Zero the pad rows of a trailing partial block so their products
-         contribute exact zeros. *)
       for bidx = bs to bs_p - 1 do
         let ib = bidx / mr and ir = bidx mod mr in
         for ci = 0 to cin - 1 do
           let vbase = (((ib * cin) + ci) * mr) + ir in
-          for tap = 0 to tt - 1 do
-            v.((tap * tbcin) + vbase) <- 0.0
+          for p = 0 to panels - 1 do
+            v.((p * tbcin) + vbase) <- la.zero
           done
         done
       done;
-      Array.fill mo 0 (tt * tb * cout_p) 0.0;
-      for tap = 0 to tt - 1 do
-        Microkernel.gemm_f32 ~mr ~nr ~kc ~rows_p:bs_p ~cols_p:cout_p ~k:cin
-          ~vp:v ~vo:(tap * tbcin) ~up:u ~uo:(tap * ucincp) ~c:mo
-          ~co:(tap * tb * cout_p) ~cstride:cout_p
+      Array.fill mo 0 (panels * slab) la.zero;
+      for p = 0 to panels - 1 do
+        gemm p bs_p v (p * tbcin) mo (p * slab)
       done;
-      (* Gather: inverse-transform each (tile, co) tap vector, crop. *)
+      let yw = P.Scratch.borrow lg.s_xt panels in
+      let yo = P.Scratch.borrow lg.s_tile (panels / tt * m * m) in
+      let ytmp = P.Scratch.borrow lg.s_tmp panels in
       for bidx = 0 to bs - 1 do
         let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        let h0 = th * m and w0 = tw * m in
-        let rh = min m (ho - h0) and rw = min m (wo - w0) in
+        let ni = tidx / tiles_per_img and rest = tidx mod tiles_per_img in
+        let h0 = rest / n_tw * m and w0 = rest mod n_tw * m in
+        gather mo (bidx * cout_p) slab yw yo ytmp
+          ((((ni * cout * ho) + h0) * wo) + w0)
+          (min m (ho - h0))
+          (min m (wo - w0))
+      done)
+
+(* ---------- convolution drivers ---------- *)
+
+(* The plain convolutions: dense GEMM over the transformed filters, the
+   caller's typed scatter, and its typed gather, given the output buffer
+   and its [ho]/[wo]. *)
+let conv2d_plain name la k ~pad ~xs ~x ~ws ~w ~scatter ~gather =
+  let n = xs.(0) and cin = xs.(1) and h = xs.(2) and wd = xs.(3) in
+  let cout = ws.(0) and r = k.tile - k.mout + 1 in
+  if ws.(1) <> cin then invalid_arg (name ^ ": channel mismatch");
+  if ws.(2) <> r || ws.(3) <> r then
+    invalid_arg (name ^ ": kernel size mismatch");
+  let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:r ~kw:r ~stride:1 ~pad in
+  let od = Array.make (n * cout * ho * wo) la.zero in
+  tap_major la la k ~panels:(k.tile * k.tile) ~pad ~x ~n ~cin ~h ~w:wd ~cout
+    ~weights:(Filters w) ~scatter ~gather:(gather od ho wo) ();
+  ([| n; cout; ho; wo |], od)
+
+let conv2d_f32 k ~pad ~x ~w =
+  let tt = k.tile * k.tile and m = k.mout and cout = Tensor.dim w 0 in
+  let shape, data =
+    conv2d_plain "Kernels.conv2d_f32" f32_lane k ~pad ~xs:x.Tensor.shape
+      ~x:x.Tensor.data ~ws:w.Tensor.shape ~w:w.Tensor.data
+      ~scatter:(fun xt dst base stride -> copy_f tt xt 0 1 dst base stride)
+      ~gather:(fun od ho wo mo off stride yw yo tmp obase rh rw ->
         for co = 0 to cout - 1 do
-          for tap = 0 to tt - 1 do
-            yw.(tap) <- mo.((((tap * tb) + bidx) * cout_p) + co)
-          done;
+          copy_f tt mo (off + co) stride yw 0 1;
           k.output yw 0 yo 0 tmp;
           for dy = 0 to rh - 1 do
-            let orow = (((((ni * cout) + co) * ho) + h0 + dy) * wo) + w0 in
-            let yrow = dy * m in
+            let orow = obase + (((co * ho) + dy) * wo) and yrow = dy * m in
             for dx = 0 to rw - 1 do
               od.(orow + dx) <- yo.(yrow + dx)
             done
           done
-        done
-      done);
-  out
+        done)
+  in
+  { Tensor.shape; data }
 
 let conv2d_i32_exact k ~scale2 ~pad ~x ~w =
-  let n = Itensor.dim x 0 and cin = Itensor.dim x 1 in
-  let h = Itensor.dim x 2 and wd = Itensor.dim x 3 in
-  let cout = Itensor.dim w 0 in
-  let t = k.tile and m = k.mout in
-  let r = t - m + 1 in
-  if Itensor.dim w 1 <> cin then
-    invalid_arg "Kernels.conv2d_i32_exact: channel mismatch";
-  if Itensor.dim w 2 <> r || Itensor.dim w 3 <> r then
-    invalid_arg "Kernels.conv2d_i32_exact: kernel size mismatch";
-  let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:r ~kw:r ~stride:1 ~pad in
-  let tt = t * t in
-  let out = Itensor.zeros [| n; cout; ho; wo |] in
-  let od = out.Itensor.data and xd = x.Itensor.data in
-  let { Microkernel.mr; nr; kc } = Microkernel.config () in
-  let cout_p = Microkernel.round_up cout nr in
-  let ucincp = cin * cout_p in
-  let u = P.Scratch.borrow ia_u (tt * ucincp) in
-  P.parallel_for ~lo:0 ~hi:(cout * cin) (fun idx ->
-      let co = idx / cin and ci = idx mod cin in
-      let f = P.Scratch.borrow ia_tile (r * r) in
-      let wt = P.Scratch.borrow ia_xt tt in
-      let tmp = P.Scratch.borrow ia_tmp (t * r) in
-      Array.blit w.Itensor.data (((co * cin) + ci) * r * r) f 0 (r * r);
-      k.weight f 0 wt 0 tmp;
-      let jb = co / nr and jr = co mod nr in
-      let base = (((jb * cin) + ci) * nr) + jr in
-      for tap = 0 to tt - 1 do
-        u.((tap * ucincp) + base) <- wt.(tap)
-      done);
-  if cout_p > cout then
-    for co = cout to cout_p - 1 do
-      let jb = co / nr and jr = co mod nr in
-      for ci = 0 to cin - 1 do
-        let base = (((jb * cin) + ci) * nr) + jr in
-        for tap = 0 to tt - 1 do
-          u.((tap * ucincp) + base) <- 0
-        done
-      done
-    done;
-  let n_th = (ho + m - 1) / m and n_tw = (wo + m - 1) / m in
-  let tiles_per_img = n_th * n_tw in
-  let total = n * tiles_per_img in
-  let tb = Microkernel.round_up (block_of ~total) mr in
-  let tbcin = tb * cin in
-  let nblocks = (total + tb - 1) / tb in
-  P.parallel_for ~chunk:1 ~lo:0 ~hi:nblocks (fun blk ->
-      let b0 = blk * tb in
-      let bs = min tb (total - b0) in
-      let bs_p = Microkernel.round_up bs mr in
-      let tile = P.Scratch.borrow ia_tile tt in
-      let xt = P.Scratch.borrow ia_xt tt in
-      let tmp = P.Scratch.borrow ia_tmp tt in
-      let v = P.Scratch.borrow ia_v (tt * tbcin) in
-      let mo = P.Scratch.borrow ia_mo (tt * tb * cout_p) in
-      let yw = P.Scratch.borrow ia_yw tt in
-      let yo = P.Scratch.borrow ia_yo (m * m) in
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        let ib = bidx / mr and ir = bidx mod mr in
-        for ci = 0 to cin - 1 do
-          load_tile_i xd ~h ~w:wd
-            ~base:(((ni * cin) + ci) * h * wd)
-            ~pad ~h0:(th * m) ~w0:(tw * m) ~t tile;
-          k.input tile 0 xt 0 tmp;
-          let vbase = (((ib * cin) + ci) * mr) + ir in
-          for tap = 0 to tt - 1 do
-            v.((tap * tbcin) + vbase) <- xt.(tap)
-          done
-        done
-      done;
-      for bidx = bs to bs_p - 1 do
-        let ib = bidx / mr and ir = bidx mod mr in
-        for ci = 0 to cin - 1 do
-          let vbase = (((ib * cin) + ci) * mr) + ir in
-          for tap = 0 to tt - 1 do
-            v.((tap * tbcin) + vbase) <- 0
-          done
-        done
-      done;
-      Array.fill mo 0 (tt * tb * cout_p) 0;
-      for tap = 0 to tt - 1 do
-        Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p:bs_p ~cols_p:cout_p ~k:cin
-          ~vp:v ~vo:(tap * tbcin) ~up:u ~uo:(tap * ucincp) ~c:mo
-          ~co:(tap * tb * cout_p) ~cstride:cout_p
-      done;
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        let h0 = th * m and w0 = tw * m in
-        let rh = min m (ho - h0) and rw = min m (wo - w0) in
+  let tt = k.tile * k.tile and m = k.mout and cout = Itensor.dim w 0 in
+  let shape, data =
+    conv2d_plain "Kernels.conv2d_i32_exact" i32_lane k ~pad
+      ~xs:x.Itensor.shape ~x:x.Itensor.data ~ws:w.Itensor.shape
+      ~w:w.Itensor.data
+      ~scatter:(fun xt dst base stride -> copy_i tt xt 0 1 dst base stride)
+      ~gather:(fun od ho wo mo off stride yw yo tmp obase rh rw ->
         for co = 0 to cout - 1 do
-          for tap = 0 to tt - 1 do
-            yw.(tap) <- mo.((((tap * tb) + bidx) * cout_p) + co)
-          done;
+          copy_i tt mo (off + co) stride yw 0 1;
           k.output yw 0 yo 0 tmp;
           for dy = 0 to rh - 1 do
-            let orow = (((((ni * cout) + co) * ho) + h0 + dy) * wo) + w0 in
-            let yrow = dy * m in
+            let orow = obase + (((co * ho) + dy) * wo) and yrow = dy * m in
             for dx = 0 to rw - 1 do
               let raw = yo.(yrow + dx) in
               (* The Winograd identity guarantees exact divisibility by
@@ -802,6 +769,6 @@ let conv2d_i32_exact k ~scale2 ~pad ~x ~w =
               od.(orow + dx) <- raw / scale2
             done
           done
-        done
-      done);
-  out
+        done)
+  in
+  { Itensor.shape; data }

@@ -8,9 +8,10 @@
     loop is reformulated tap-major — input tiles are scattered into [t·t]
     per-tap [tiles × cin] panels, each tap runs one flat GEMM against the
     [cin × cout] transformed weights, and results are gathered back through
-    the inverse transform.  The hot loop performs zero per-tile allocation;
-    workers stage everything in per-domain {!Twq_util.Parallel.Scratch}
-    arenas.
+    the inverse transform.  One loop, {!tap_major}, does this for every
+    Winograd convolution in the library.  It performs zero per-tile
+    allocation; workers stage everything in per-domain
+    {!Twq_util.Parallel.Scratch} arenas, one set per element type.
 
     Numerical contract: the float kernels reproduce the generic
     [Ops.matmul] sandwich ({!Transform.input_tile} and friends) operation
@@ -96,39 +97,85 @@ val i32_of_mats :
     — used by {!Rns} both for the common-denominator-lifted matrices and
     for their per-modulus residue reductions. *)
 
-val load_tile_f :
-  float array ->
+(** {1 The tap-major loop}
+
+    One loop runs every tap-major Winograd convolution in the library —
+    {!conv2d_f32}, {!conv2d_i32_exact}, [Rns.conv2d] and
+    [Tapwise.forward_int_into].  It owns the tile grid, the tile blocks
+    and their partition over the domain pool, the MR-packed input panels
+    (pad rows zeroed), the GEMM slab, one GEMM per panel and the NR
+    weight packing; the caller supplies three typed hooks — scatter,
+    GEMM, gather — so no float ever passes through the generic code. *)
+
+type 'a lane
+(** The element type of the packed panels: its zero, a typed tile
+    loader, strided copy and dense GEMM, and one per-domain scratch arena
+    per staging buffer. *)
+
+val f32_lane : float lane
+val i32_lane : int lane
+
+type 'a put = 'a array -> 'a array -> int -> int -> unit
+(** [put src dst base stride] — the scatter hook.  [src] holds one
+    transformed [t×t] tile (row-major taps); the hook writes panel [p]'s
+    value at [dst.(base + p·stride)] for each of its panels (one per tap,
+    or one per (modulus, tap)).  The loop calls it per (tile, cin) for
+    inputs and, for {!Filters}, per (cout, cin) for the weights. *)
+
+type ('a, 'g) gather =
+  'a array -> int -> int -> 'g array -> 'g array -> 'g array -> int -> int ->
+  int -> unit
+(** [gather mo off stride yw yo tmp obase rh rw] — called once per
+    output tile; the hook loops over [co].  Panel [p] of output channel
+    [co] sits at [mo.(off + p·stride + co)].  [yw], [yo], [tmp] are the
+    gather lane's per-domain scratch: [yw] and [tmp] hold at least
+    [panels] elements, [yo] at least [panels/t² · m²].  The tile's crop
+    is [rh × rw] and its top-left output of channel 0 is at flat offset
+    [obase] of the NCHW [\[n; cout; ho; wo\]] output, so pixel
+    [(co, dy, dx)] is at [obase + (co·ho + dy)·wo + dx]. *)
+
+type 'a weights =
+  | Packed of 'a array  (** panels from {!pack_weights} *)
+  | Filters of 'a array
+      (** [\[cout; cin; r; r\]] spatial filters, transformed by the
+          kernel's [weight] and packed through the scatter hook on every
+          call, into a per-domain arena *)
+
+val pack_weights :
+  'a lane -> panels:int -> cin:int -> cout:int -> 'a array -> 'a array
+(** [pack_weights lane ~panels ~cin ~cout src] NR-packs [src], which
+    holds [panels] values per (cout, cin) filter ([\[cout; cin; panels\]]
+    row-major), into a fresh panel for {!Packed}; pad lanes are zero. *)
+
+val tap_major :
+  'a lane ->
+  'g lane ->
+  'a kernel ->
+  panels:int ->
+  pad:int ->
+  x:'a array ->
+  n:int ->
+  cin:int ->
   h:int ->
   w:int ->
-  base:int ->
-  pad:int ->
-  h0:int ->
-  w0:int ->
-  t:int ->
-  float array ->
+  cout:int ->
+  weights:'a weights ->
+  scatter:'a put ->
+  ?gemm:(int -> int -> 'a array -> int -> 'a array -> int -> unit) ->
+  gather:('a, 'g) gather ->
+  unit ->
   unit
-(** [load_tile_f xd ~h ~w ~base ~pad ~h0 ~w0 ~t dst] copies the [t×t]
-    window whose top-left corner is at [(h0, w0)] of the padded [h×w]
-    plane starting at [xd.(base)] into [dst] (row-major), zero-filling
-    out-of-range reads. *)
-
-val load_tile_i :
-  int array ->
-  h:int ->
-  w:int ->
-  base:int ->
-  pad:int ->
-  h0:int ->
-  w0:int ->
-  t:int ->
-  int array ->
-  unit
-
-val block_of : total:int -> int
-(** Tiles per scheduling block used by the packed drivers: big enough
-    that each per-tap GEMM runs over a panel, small enough to keep all
-    domains busy.  Exposed for drivers built outside this module
-    ({!Rns}); per-tile results never depend on the grouping. *)
+(** [tap_major lane glane k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights
+    ~scatter ~gather ()] runs a stride-1 convolution of the NCHW input
+    data [x] ([\[n; cin; h; w\]]) tap-major: per block of output tiles,
+    each (tile, cin) is loaded with zero padding, transformed by
+    [k.input] and scattered into [panels] MR-packed panels of [lane];
+    one GEMM per panel accumulates into a [tiles × cout_p] slab; and
+    [gather] turns each tile's slab rows into outputs, using [glane]'s
+    scratch.  [gemm p rows_p v vo mo co] runs panel [p] (A panel at
+    [v.(vo)], C at [mo.(co)], row stride [cout_p = round_up cout nr]);
+    by default it is [lane]'s dense GEMM against the packed weights.
+    Results do not depend on the block size or the domain count. *)
 
 val conv2d_f32 :
   float kernel ->

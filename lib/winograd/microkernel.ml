@@ -1,7 +1,8 @@
 (* Register-tiled, cache-blocked GEMM microkernels for the per-tap
    Winograd GEMMs.
 
-   The tap-major drivers reduce every Winograd tap to one
+   The shared tap-major loop ([Kernels.tap_major]) reduces every
+   Winograd tap (or, under RNS, every (modulus, tap)) to one
    [tiles × Cin] · [Cin × Cout] product.  This module supplies the inner
    engine for those products: one fixed 4×4 accumulator-block kernel
    (float and int) over *packed* operand panels, plus a KC-blocked

@@ -1,14 +1,14 @@
 (* Residue-number-system integer Winograd backend.
 
-   Structure mirrors [Kernels.conv2d_i32_exact] — NR-packed transformed
-   weights, MR-packed scattered tiles, one packed [Microkernel.gemm_i32]
-   per tap — except that every panel holds *residues*: the exact lifted
-   transforms run once per tile/filter and are reduced into [0, p) for
-   each modulus while being packed, the per-tap GEMMs run once per
-   (tap, modulus) with lazy reduction (the plan proves Cin·p² fits), the
-   output transform runs on residues with Aᵀ mod p, and the gather loop
-   Garner-reconstructs the centered scaled output, divides the lift
-   denominator off exactly, and applies the fused epilogue.  The
+   It runs on the shared tap-major loop [Kernels.tap_major], with one
+   panel per (modulus, tap) instead of one per tap, so every panel holds
+   *residues*.  Its three hooks: scatter runs the exact lifted transform
+   once per tile/filter and reduces it into [0, p) for each modulus;
+   the GEMM is the loop's dense [Microkernel.gemm_i32] per panel, with
+   lazy reduction (the plan proves Cin·p² fits); gather runs the output
+   transform on residues with Aᵀ mod p, Garner-reconstructs the centered
+   scaled output, divides the lift denominator off exactly, and applies
+   the fused epilogue.  The
    full-range value exists only as one scalar per output pixel — never
    as a tensor.
 
@@ -19,7 +19,6 @@
    the divide-off is exact — the backend is bit-identical to the direct
    integer convolution or it raises; it cannot be silently wrong. *)
 
-module P = Twq_util.Parallel
 module Rat = Twq_util.Rat
 module Rmat = Twq_util.Rmat
 module Modint = Twq_util.Modint
@@ -290,18 +289,6 @@ let describe p =
 
 (* ---------- per-modulus tap-major driver ---------- *)
 
-(* One arena per logically distinct buffer, as in Kernels. *)
-let ra_tile = P.Scratch.create_int ()
-let ra_xt = P.Scratch.create_int ()
-let ra_tmp = P.Scratch.create_int ()
-let ra_v = P.Scratch.create_int ()
-let ra_mo = P.Scratch.create_int ()
-let ra_yw = P.Scratch.create_int ()
-let ra_yo = P.Scratch.create_int ()
-let ra_u = P.Scratch.create_int ()
-let ra_res = P.Scratch.create_int ()
-let ra_dig = P.Scratch.create_int ()
-
 let check_range name data limit =
   let n = Array.length data in
   let bad = ref (-1) in
@@ -340,7 +327,7 @@ let conv2d p ?(epilogue = Kernels.no_epilogue) ?out ?(pad = 0) ~x ~w () =
   check_range "x" x.Itensor.data p.xmax;
   check_range "w" w.Itensor.data p.wmax;
   let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:r ~kw:r ~stride:1 ~pad in
-  let tt = t * t in
+  let tt = t * t and mm = m * m in
   let out =
     match out with
     | None -> Itensor.zeros [| n; cout; ho; wo |]
@@ -351,135 +338,53 @@ let conv2d p ?(epilogue = Kernels.no_epilogue) ?out ?(pad = 0) ~x ~w () =
         then invalid_arg "Rns.conv2d: out shape mismatch";
         o
   in
-  let od = out.Itensor.data and xd = x.Itensor.data in
+  let od = out.Itensor.data in
   let basis = p.basis_ and nmod = Array.length p.basis_ in
   let denom = p.denom_ in
-  let { Microkernel.mr; nr; kc } = Microkernel.config () in
-  let cout_p = Microkernel.round_up cout nr in
-  let ucincp = cin * cout_p in
-  (* Transformed weights: exact lifted transform once per (co, ci), then
-     residues NR-packed per modulus — u.((q·tt + tap)·ucincp + base). *)
-  let u = P.Scratch.borrow ra_u (nmod * tt * ucincp) in
-  P.parallel_for ~lo:0 ~hi:(cout * cin) (fun idx ->
-      let co = idx / cin and ci = idx mod cin in
-      let f = P.Scratch.borrow ra_tile (r * r) in
-      let wt = P.Scratch.borrow ra_xt tt in
-      let tmp = P.Scratch.borrow ra_tmp (t * r) in
-      Array.blit w.Itensor.data (((co * cin) + ci) * r * r) f 0 (r * r);
-      p.ker_int.Kernels.weight f 0 wt 0 tmp;
-      let jb = co / nr and jr = co mod nr in
-      let base = (((jb * cin) + ci) * nr) + jr in
-      for q = 0 to nmod - 1 do
-        let pq = basis.(q) in
-        for tap = 0 to tt - 1 do
-          u.((((q * tt) + tap) * ucincp) + base) <- Modint.reduce wt.(tap) pq
-        done
-      done);
-  (* Zero pad lanes (zero is a valid residue in every modulus). *)
-  if cout_p > cout then
-    for co = cout to cout_p - 1 do
-      let jb = co / nr and jr = co mod nr in
-      for ci = 0 to cin - 1 do
-        let base = (((jb * cin) + ci) * nr) + jr in
-        for qt = 0 to (nmod * tt) - 1 do
-          u.((qt * ucincp) + base) <- 0
-        done
+  (* Panel [q·t² + tap] holds modulus [q]'s residues of [tap]: the exact
+     lifted transform runs once per tile/filter and is reduced into every
+     modulus on its way into the panels. *)
+  let residues xt dst base stride =
+    for q = 0 to nmod - 1 do
+      let pq = basis.(q) in
+      for tap = 0 to tt - 1 do
+        dst.(base + (((q * tt) + tap) * stride)) <- Modint.reduce xt.(tap) pq
       done
-    done;
-  let n_th = (ho + m - 1) / m and n_tw = (wo + m - 1) / m in
-  let tiles_per_img = n_th * n_tw in
-  let total = n * tiles_per_img in
-  let tb = Microkernel.round_up (Kernels.block_of ~total) mr in
-  let tbcin = tb * cin in
-  let nblocks = (total + tb - 1) / tb in
-  P.parallel_for ~chunk:1 ~lo:0 ~hi:nblocks (fun blk ->
-      let b0 = blk * tb in
-      let bs = min tb (total - b0) in
-      let bs_p = Microkernel.round_up bs mr in
-      let tile = P.Scratch.borrow ra_tile tt in
-      let xt = P.Scratch.borrow ra_xt tt in
-      let tmp = P.Scratch.borrow ra_tmp tt in
-      let v = P.Scratch.borrow ra_v (nmod * tt * tbcin) in
-      let mo = P.Scratch.borrow ra_mo (nmod * tt * tb * cout_p) in
-      let yw = P.Scratch.borrow ra_yw tt in
-      let yo = P.Scratch.borrow ra_yo (nmod * m * m) in
-      let res = P.Scratch.borrow ra_res nmod in
-      let dig = P.Scratch.borrow ra_dig nmod in
-      (* Scatter: exact lifted input transform once per (tile, ci), taps
-         reduced into the per-(modulus, tap) MR-packed panels. *)
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        let ib = bidx / mr and ir = bidx mod mr in
-        for ci = 0 to cin - 1 do
-          Kernels.load_tile_i xd ~h ~w:wd
-            ~base:(((ni * cin) + ci) * h * wd)
-            ~pad ~h0:(th * m) ~w0:(tw * m) ~t tile;
-          p.ker_int.Kernels.input tile 0 xt 0 tmp;
-          let vbase = (((ib * cin) + ci) * mr) + ir in
-          for q = 0 to nmod - 1 do
-            let pq = basis.(q) in
-            for tap = 0 to tt - 1 do
-              v.((((q * tt) + tap) * tbcin) + vbase) <-
-                Modint.reduce xt.(tap) pq
-            done
-          done
-        done
-      done;
-      (* Zero the pad rows of a trailing partial block. *)
-      for bidx = bs to bs_p - 1 do
-        let ib = bidx / mr and ir = bidx mod mr in
-        for ci = 0 to cin - 1 do
-          let vbase = (((ib * cin) + ci) * mr) + ir in
-          for qt = 0 to (nmod * tt) - 1 do
-            v.((qt * tbcin) + vbase) <- 0
-          done
-        done
-      done;
-      Array.fill mo 0 (nmod * tt * tb * cout_p) 0;
-      (* One packed GEMM per (modulus, tap); residues accumulate lazily
-         (the plan proved cin·p² fits a native int). *)
-      for qt = 0 to (nmod * tt) - 1 do
-        Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p:bs_p ~cols_p:cout_p ~k:cin
-          ~vp:v ~vo:(qt * tbcin) ~up:u ~uo:(qt * ucincp) ~c:mo
-          ~co:(qt * tb * cout_p) ~cstride:cout_p
-      done;
-      (* Gather: per-modulus output transform on residues, then one CRT
-         reconstruction + denominator divide-off per output pixel, fused
-         with the epilogue. *)
-      let mm = m * m in
-      for bidx = 0 to bs - 1 do
-        let tidx = b0 + bidx in
-        let ni = tidx / tiles_per_img in
-        let rest = tidx mod tiles_per_img in
-        let th = rest / n_tw and tw = rest mod n_tw in
-        let h0 = th * m and w0 = tw * m in
-        let rh = min m (ho - h0) and rw = min m (wo - w0) in
-        for co = 0 to cout - 1 do
-          for q = 0 to nmod - 1 do
-            let pq = basis.(q) in
-            for tap = 0 to tt - 1 do
-              yw.(tap) <-
-                mo.(((((q * tt) + tap) * tb) + bidx) * cout_p + co) mod pq
-            done;
-            p.out_k.(q).Kernels.output yw 0 yo (q * mm) tmp
+    done
+  in
+  (* The per-panel GEMMs accumulate residue products lazily (the plan
+     proved cin·p² fits a native int).  Gather: per-modulus output
+     transform on residues, then one CRT reconstruction + denominator
+     divide-off per output pixel, fused with the epilogue.  Once a
+     channel's transforms are done, [yw] and [tmp] are free and hold the
+     pixel's residues and Garner digits. *)
+  Kernels.tap_major Kernels.i32_lane Kernels.i32_lane p.ker_int
+    ~panels:(nmod * tt) ~pad ~x:x.Itensor.data ~n ~cin ~h ~w:wd ~cout
+    ~weights:(Kernels.Filters w.Itensor.data) ~scatter:residues
+    ~gather:(fun mo off stride yw yo tmp obase rh rw ->
+      let digits = Some tmp in
+      for co = 0 to cout - 1 do
+        for q = 0 to nmod - 1 do
+          let pq = basis.(q) in
+          for tap = 0 to tt - 1 do
+            let pt = (q * tt) + tap in
+            yw.(pt) <- mo.(off + (pt * stride) + co) mod pq
           done;
-          for dy = 0 to rh - 1 do
-            let orow = (((((ni * cout) + co) * ho) + h0 + dy) * wo) + w0 in
-            let yrow = dy * m in
-            for dx = 0 to rw - 1 do
-              for q = 0 to nmod - 1 do
-                res.(q) <- yo.((q * mm) + yrow + dx) mod basis.(q)
-              done;
-              let raw = Modint.Crt.reconstruct p.crt ~digits:dig res in
-              (* The Winograd identity guarantees Y = denom·y exactly;
-                 assert rather than truncate. *)
-              assert (raw mod denom = 0);
-              Kernels.epilogue_store epilogue od (orow + dx) (raw / denom)
-            done
+          p.out_k.(q).Kernels.output yw (q * tt) yo (q * mm) tmp
+        done;
+        for dy = 0 to rh - 1 do
+          let orow = obase + (((co * ho) + dy) * wo) and yrow = dy * m in
+          for dx = 0 to rw - 1 do
+            for q = 0 to nmod - 1 do
+              yw.(q) <- yo.((q * mm) + yrow + dx) mod basis.(q)
+            done;
+            let raw = Modint.Crt.reconstruct p.crt ?digits yw in
+            (* The Winograd identity guarantees Y = denom·y exactly;
+               assert rather than truncate. *)
+            assert (raw mod denom = 0);
+            Kernels.epilogue_store epilogue od (orow + dx) (raw / denom)
           done
         done
-      done);
+      done)
+    ();
   out

@@ -145,9 +145,11 @@ val conv2d :
   unit ->
   Twq_tensor.Itensor.t
 (** Exact integer Winograd convolution (stride 1) of NCHW [x] against
-    [\[cout; cin; r; r\]] weights through the per-modulus tap-major
-    engine.  Bit-identical to the direct integer convolution.  Shape
-    errors raise [Invalid_argument] (as the other drivers); a value or
-    channel count outside the plan's proven range raises
-    {!Rns_error}[ (Out_of_range _)].  [epilogue]/[out] behave as in
-    {!Kernels.conv2d_i32_exact}. *)
+    [\[cout; cin; r; r\]] weights through the shared tap-major loop
+    ({!Kernels.tap_major}), one panel per (modulus, tap).  Bit-identical
+    to the direct integer convolution.  Shape errors raise
+    [Invalid_argument] (as the other drivers); a value or channel count
+    outside the plan's proven range raises
+    {!Rns_error}[ (Out_of_range _)].  [epilogue] is applied in the output
+    store; [out], if given, must have the output shape and receives the
+    result. *)

@@ -206,13 +206,15 @@ let prop_micro_int_edge =
 
 (* ------------------------------------ quantized tap-wise forward_int *)
 
+(* Batches up to 3 make the shared loop's tile decode cross image
+   boundaries inside a block. *)
 let prop_tapwise =
   QCheck2.Test.make ~count:15 ~name:"tap-major forward_int = tile-major ref"
     QCheck2.Gen.(
-      tup4 variant_gen
+      tup5 variant_gen
         (oneofl [ Tapwise.Single_scale; Tapwise.Tap_wise; Tapwise.Channel_tap_wise ])
-        (int_range 1 4) seed_gen)
-    (fun (v, gran, nd, seed) ->
+        (int_range 1 4) (int_range 1 3) seed_gen)
+    (fun (v, gran, nd, n, seed) ->
       let rng = Twq_util.Rng.create seed in
       let cin = 1 + Twq_util.Rng.int rng 3
       and cout = 1 + Twq_util.Rng.int rng 3 in
@@ -222,7 +224,7 @@ let prop_tapwise =
       let samples = [ tensor_of_rng rng [| 1; cin; h; wd |] ] in
       let config = { (Tapwise.default_config v) with Tapwise.granularity = gran } in
       let l = Tapwise.calibrate ~config ~w ~bias ~sample_inputs:samples ~pad:1 () in
-      let x = tensor_of_rng rng [| 1; cin; h; wd |] in
+      let x = tensor_of_rng rng [| n; cin; h; wd |] in
       let xi =
         Quantizer.quantize_tensor ~bits:config.Tapwise.act_bits ~scale:l.Tapwise.s_x x
       in
@@ -468,12 +470,14 @@ let prop_tapwise_sparse =
   QCheck2.Test.make ~count:25
     ~name:"sparse tapwise forward = dense forward of pruned weights"
     QCheck2.Gen.(
-      tup5 variant_gen
-        (oneofl [ 0.1; 0.3; 0.5 ])
-        (oneofl [ 0.25; 0.5; 1.0 ])
-        (oneofl [ 1; 4 ])
-        seed_gen)
-    (fun (v, density, thresh, nd, seed) ->
+      pair
+        (tup5 variant_gen
+           (oneofl [ 0.1; 0.3; 0.5 ])
+           (oneofl [ 0.25; 0.5; 1.0 ])
+           (oneofl [ 1; 4 ])
+           seed_gen)
+        (int_range 1 3))
+    (fun ((v, density, thresh, nd, seed), n) ->
       let rng = Twq_util.Rng.create seed in
       let cin = 1 + Twq_util.Rng.int rng 5
       and cout = 1 + Twq_util.Rng.int rng 6 in
@@ -483,7 +487,7 @@ let prop_tapwise_sparse =
       let config = Tapwise.default_config v in
       let l = Tapwise.calibrate ~config ~w ~sample_inputs:samples ~pad:1 () in
       let l = Pruning.prune_layer l ~density in
-      let x = tensor_of_rng rng [| 1; cin; h; wd |] in
+      let x = tensor_of_rng rng [| n; cin; h; wd |] in
       let xi =
         Quantizer.quantize_tensor ~bits:config.Tapwise.act_bits
           ~scale:l.Tapwise.s_x x

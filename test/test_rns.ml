@@ -24,18 +24,21 @@ let itensor_of_rng rng shape lim =
 
 (* Random shapes deliberately straddle the GEMM register blocks
    (cin/cout in 1..5 vs MR=NR=4), single-tile images (h,w < 8 at m=6),
-   both pad settings, and 1 vs 4 domains. *)
+   both pad settings, and 1 vs 4 domains.  Batches of 1..2 images up to
+   20×20 give several tile blocks, often with a partial trailing one. *)
 let prop_f6_bit_exact =
   QCheck.Test.make ~count:40
     ~name:"F(6,3) RNS == direct integer conv (random shapes, domains)"
     QCheck.(
-      quad (int_range 0 100000) (int_range 3 12) (int_range 3 12)
-        (int_range 0 1))
-    (fun (seed, h, w, pad) ->
+      pair
+        (quad (int_range 0 100000) (int_range 3 20) (int_range 3 20)
+           (int_range 0 1))
+        (int_range 1 2))
+    (fun ((seed, h, w, pad), n) ->
       let rng = Rng.create seed in
       let cin = 1 + Rng.int rng 5 and cout = 1 + Rng.int rng 5 in
       let nd = if Rng.int rng 2 = 0 then 1 else 4 in
-      let x = itensor_of_rng rng [| 1; cin; h; w |] 4 in
+      let x = itensor_of_rng rng [| n; cin; h; w |] 4 in
       let wt = itensor_of_rng rng [| cout; cin; 3; 3 |] 4 in
       let plan =
         Rns.plan_exn ~m:6 ~r:3 ~basis:[ 8191; 8179; 8171 ] ~cin ~xmax:4

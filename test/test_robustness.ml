@@ -153,7 +153,6 @@ let rand_layer seed =
       Tapwise.variant;
       act_bits = 8;
       wino_bits = 8 + (seed mod 3);
-      pow2 = seed mod 5 < 2;
       granularity;
     }
   in
@@ -212,9 +211,9 @@ let test_serialize_rejects_malformed () =
   rejects "empty input" "";
   rejects "garbage" "hello world";
   rejects "unknown variant" "tapwise-layer v1\nconfig F9 8 8 false tap\n";
-  rejects "unknown granularity" "tapwise-layer v1\nconfig F4 8 8 false weird\n";
-  rejects "negative scale" "tapwise-layer v1\nconfig F4 8 8 false tap\nscales 1 -0x1p0 0x1p0 0x1p0\n";
-  rejects "nan scale" "tapwise-layer v1\nconfig F4 8 8 false tap\nscales 1 nan 0x1p0 0x1p0\n";
+  rejects "unknown granularity" "tapwise-layer v1\nconfig F4 8 8 true weird\n";
+  rejects "negative scale" "tapwise-layer v1\nconfig F4 8 8 true tap\nscales 1 -0x1p0 0x1p0 0x1p0\n";
+  rejects "nan scale" "tapwise-layer v1\nconfig F4 8 8 true tap\nscales 1 nan 0x1p0 0x1p0\n";
   let valid = Serialize.layer_to_string (rand_layer 1) in
   for frac = 1 to 9 do
     rejects "truncated layer" (String.sub valid 0 (String.length valid * frac / 10))
@@ -224,6 +223,53 @@ let test_serialize_rejects_malformed () =
   | exception Failure _ -> ()
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "garbage accepted")
+
+(* The typed failure must name what was rejected. *)
+let rejects_naming what ~needle s =
+  match Serialize.layer_of_string_result s with
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error e ->
+      let msg = e.Serialize.message in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length msg
+        && (String.sub msg i n = needle || has (i + 1))
+      in
+      if not (has 0) then Alcotest.failf "%s: message %S lacks %S" what msg needle
+
+(* Every layer the library builds has pow2 scales; an artifact claiming
+   otherwise is refused at load instead of running a datapath that no
+   longer exists. *)
+let test_serialize_rejects_pow2_false () =
+  let valid = Serialize.layer_to_string (rand_layer 3) in
+  let line_end = String.index valid '\n' + 1 in
+  let config_end = String.index_from valid line_end '\n' in
+  let config = String.sub valid line_end (config_end - line_end) in
+  let flipped =
+    String.concat " "
+      (List.map
+         (fun tok -> if tok = "true" then "false" else tok)
+         (String.split_on_char ' ' config))
+  in
+  Alcotest.(check bool) "config carries the pow2 token" true (flipped <> config);
+  rejects_naming "pow2 false" ~needle:"pow2"
+    (String.sub valid 0 line_end ^ flipped
+    ^ String.sub valid config_end (String.length valid - config_end))
+
+(* The forward requantizes input tap (i,j) by a shift of log2 (s_b/s_x);
+   a ratio that is not a power of two would be rounded to the nearest
+   shift, silently off the layer's own scales. *)
+let test_serialize_rejects_inexact_tap_scale () =
+  let l = rand_layer 4 in
+  let s_b = Array.map Array.copy l.Tapwise.s_b in
+  s_b.(0).(0) <- 3.0 *. l.Tapwise.s_x;
+  rejects_naming "s_b(0,0) = 3 s_x" ~needle:"s_b(0,0)"
+    (Serialize.layer_to_string { l with Tapwise.s_b });
+  s_b.(0).(0) <- 4.0 *. l.Tapwise.s_x;
+  match Serialize.layer_of_string_result
+          (Serialize.layer_to_string { l with Tapwise.s_b }) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "s_b(0,0) = 4 s_x rejected: %s" e.Serialize.message
 
 let tensor_rejects what s =
   match Serialize.read_tensor (Serialize.reader_of_string s) with
@@ -548,6 +594,10 @@ let () =
           Alcotest.test_case "shape validation" `Quick
             test_serialize_shape_validation;
           Alcotest.test_case "error offsets" `Quick test_serialize_error_offsets;
+          Alcotest.test_case "rejects pow2 false" `Quick
+            test_serialize_rejects_pow2_false;
+          Alcotest.test_case "rejects inexact tap scale" `Quick
+            test_serialize_rejects_inexact_tap_scale;
         ] );
       ( "guards",
         [
