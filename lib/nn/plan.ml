@@ -486,8 +486,10 @@ let exec_step t d x s st =
         ~out:d.view.(dst)
   | S_relu { src; dst } ->
       let sd = d.view.(src).Itensor.data and dd = d.view.(dst).Itensor.data in
+      (* The sign mask of [Kernels.epilogue_store]'s fused ReLU. *)
       for i = 0 to numel dst - 1 do
-        dd.(i) <- Stdlib.max 0 sd.(i)
+        let v = sd.(i) in
+        dd.(i) <- v land lnot (v asr 62)
       done
   | S_leaky { k; src; dst } ->
       let sd = d.view.(src).Itensor.data and dd = d.view.(dst).Itensor.data in

@@ -199,6 +199,7 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x ~out =
      (no flambda) and dominates steady-state allocation. *)
   let a_hi = (1 lsl (l.act_bits - 1)) - 1 in
   let a_lo = -(a_hi + 1) in
+  let a_hi_f = float_of_int a_hi +. 0.5 and a_lo_f = float_of_int a_lo -. 0.5 in
   let s_y = l.s_y in
   let hw = ho * wo in
   let total = n * hw in
@@ -257,8 +258,18 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x ~out =
           let real =
             (float_of_int c.(crow + co) *. scale.(co)) +. bias_f.(co)
           in
-          let q = int_of_float (Float.round (real /. s_y)) in
-          let q = if q > a_hi then a_hi else if q < a_lo then a_lo else q in
+          (* Saturate, then truncate and round half away from zero on
+             the exact fraction: no [Float.round] call, no branch on
+             the sign (the same store as [Tapwise.forward_int_into]). *)
+          let x = real /. s_y in
+          let q =
+            if x >= a_hi_f then a_hi
+            else if x <= a_lo_f then a_lo
+            else
+              let i = int_of_float x in
+              let f = x -. float_of_int i in
+              i + Bool.to_int (f >= 0.5) - Bool.to_int (f <= -0.5)
+          in
           Kernels.epilogue_store epilogue od (obase + (co * hw)) q
         done
       done)

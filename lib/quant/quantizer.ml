@@ -18,9 +18,21 @@ let pow2_exponent s =
   if s <= 0.0 then invalid_arg "Quantizer.pow2_exponent: non-positive scale";
   int_of_float (Float.ceil (Float.log2 s))
 
+(* Saturate in float before converting: [int_of_float] of a value
+   outside the int range is unspecified (on amd64 +inf and 1e19 read
+   back as 0 and 5e18 wraps negative).  Inside the range, truncation
+   plus a test on the exact fraction [x - trunc x] rounds half away
+   from zero like [Float.round], without the C call.  NaN fails both
+   range tests and truncates to 0. *)
 let quantize ~bits ~scale x =
-  let v = int_of_float (Float.round (x /. scale)) in
-  Itensor.clamp_int ~bits v
+  let hi = qmax ~bits and lo = qmin ~bits in
+  let x = x /. scale in
+  if x >= float_of_int hi +. 0.5 then hi
+  else if x <= float_of_int lo -. 0.5 then lo
+  else
+    let i = int_of_float x in
+    let f = x -. float_of_int i in
+    i + Bool.to_int (f >= 0.5) - Bool.to_int (f <= -0.5)
 
 let dequantize ~scale v = float_of_int v *. scale
 

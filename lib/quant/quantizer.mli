@@ -22,7 +22,10 @@ val pow2_exponent : float -> int
 (** [⌈log2 s⌉] of a positive scale. *)
 
 val quantize : bits:int -> scale:float -> float -> int
-(** Round-to-nearest then clamp to the signed [bits]-bit range. *)
+(** Round-to-nearest (ties away from zero) then clamp to the signed
+    [bits]-bit range.  Saturation happens in float, so [+inf] and huge
+    positives give [qmax], [-inf] and huge negatives give [qmin], and
+    NaN gives 0. *)
 
 val dequantize : scale:float -> int -> float
 

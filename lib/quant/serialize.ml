@@ -247,7 +247,25 @@ let read_layer_body r =
                  i j v s_x))
         row)
     s_b;
-  let s_g = read_scale_grid r ~what:"s_g" ~t in
+  (* The gather folds s_b·s_g into one rescale at [Tapwise.pack], which
+     is exact only when every weight tap scale is a power of two. *)
+  let read_pow2_grid ~what =
+    let start = r.pos in
+    let g = read_scale_grid r ~what ~t in
+    Array.iteri
+      (fun i row ->
+        Array.iteri
+          (fun j v ->
+            if fst (Float.frexp v) <> 0.5 then
+              fail_at start
+                (Printf.sprintf
+                   "weight tap scale %s(%d,%d) = %h is not a power of two"
+                   what i j v))
+          row)
+      g;
+    g
+  in
+  let s_g = read_pow2_grid ~what:"s_g" in
   expect r "per-channel";
   let n_channel_start = r.pos in
   let n_channel = read_int r in
@@ -255,7 +273,7 @@ let read_layer_body r =
     fail_at n_channel_start "invalid per-channel count";
   let s_g_channel =
     if n_channel = 0 then None
-    else Some (Array.init n_channel (fun _ -> read_scale_grid r ~what:"s_g_channel" ~t))
+    else Some (Array.init n_channel (fun _ -> read_pow2_grid ~what:"s_g_channel"))
   in
   let wq_start = r.pos in
   let wq = read_itensor r in

@@ -15,7 +15,10 @@
     datapath's: its config token for the retired pow2 flag must read
     [true] (writers always emit it), and every input tap scale
     [s_b(i,j)] must be an exact power-of-two multiple of [s_x], since the
-    forward requantizes each tap by a shift of [log2 (s_b/s_x)].  Malformed input yields a typed {!error} with
+    forward requantizes each tap by a shift of [log2 (s_b/s_x)].  Every
+    weight tap scale ([s_g] and each [s_g_channel] grid) must be a power
+    of two, since {!Tapwise.pack} folds [s_b·s_g] into one exact
+    rescale.  Malformed input yields a typed {!error} with
     the byte offset of the offending token — never [Scanf.Scan_failure],
     [End_of_file], [Out_of_memory] or a silent half-parsed value. *)
 

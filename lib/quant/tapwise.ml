@@ -285,8 +285,8 @@ module Kernels = Twq_winograd.Kernels
 module Microkernel = Twq_winograd.Microkernel
 
 (* Everything about the layer that does not depend on the input shape,
-   staged once: the tap-major Winograd weight panel [u], the flattened
-   tap-scale lookups and the per-tap requant shifts.  [forward_int]
+   staged once: the tap-major Winograd weight panel [u], the folded
+   gather scales and the per-tap requant shifts.  [forward_int]
    rebuilt these on every call before the planner existed; packing at
    plan/lowering time removes that per-forward cost entirely. *)
 type packed = {
@@ -301,14 +301,20 @@ type packed = {
          density fell below [Microkernel.sparse_threshold] at pack
          time.  [None] taps run the dense driver unchanged. *)
   tap_density : float array;  (* measured nonzero fraction per tap *)
-  sb_flat : float array;
-  ws_flat : float array;
-  (* Requant shift per tap, s_b(tap)/s_from = 2^k.  The scatter hook
-     runs per element; going through [requant_tap] there boxes its float
-     arguments on every call (no flambda), which was the dominant
-     steady-state allocation of the whole forward.  Precomputing the
-     shift per tap lets the hot loop stay in unboxed int arithmetic. *)
-  shift_flat : int array;
+  sbg : float array;
+      (* sbg[co·tt + tap] = s_b(tap)·s_g(co, tap), the single S_BG
+         rescale of the gather.  Every s_g is a power of two ([pack]
+         checks it), so (acc·s_b)·s_g = acc·(s_b·s_g) exactly. *)
+  (* Per-tap requant s_b(tap)/s_from = 2^k as a right shift [rshift] =
+     max k 0 with its rounding offset [half] = 2^(rshift-1) (0 when
+     rshift = 0), then a left shift [lshift] = max (-k) 0.  The scatter
+     runs per element; going through [requant_tap] there would box its
+     float arguments on every call (no flambda), and branching on k or
+     on the value's sign costs mispredictions, so the hot loop is
+     straight-line int arithmetic. *)
+  rshift : int array;
+  half : int array;
+  lshift : int array;
 }
 
 let pack l =
@@ -319,11 +325,18 @@ let pack l =
   let bt2 =
     float_of_int (Transform.bt_scale variant * Transform.bt_scale variant)
   in
-  let sb_flat = Array.init tt (fun tap -> l.s_b.(tap / t).(tap mod t)) in
-  let ws_flat =
+  let sbg =
     Array.init (cout * tt) (fun idx ->
         let co = idx / tt and tap = idx mod tt in
-        weight_scale l co (tap / t) (tap mod t))
+        let i = tap / t and j = tap mod t in
+        let s_g = weight_scale l co i j in
+        if fst (Float.frexp s_g) <> 0.5 then
+          invalid_arg
+            (Printf.sprintf
+               "Tapwise.pack: weight tap scale s_g(%d,%d) = %h of channel %d \
+                is not a power of two"
+               i j s_g co);
+        l.s_b.(i).(j) *. s_g)
   in
   let { Microkernel.nr; _ } = Microkernel.config () in
   let cout_p = Microkernel.round_up cout nr in
@@ -333,9 +346,12 @@ let pack l =
       l.wq.Itensor.data
   in
   let s_from = l.s_x /. bt2 in
-  let shift_flat =
-    Array.init tt (fun tap -> shift_of_ratio (sb_flat.(tap) /. s_from))
+  let shift =
+    Array.init tt (fun tap -> shift_of_ratio (l.s_b.(tap / t).(tap mod t) /. s_from))
   in
+  let rshift = Array.map (fun k -> max k 0) shift in
+  let half = Array.map (fun k -> (1 lsl k) lsr 1) rshift in
+  let lshift = Array.map (fun k -> max (-k) 0) shift in
   (* Sparse/dense is decided here, per tap, against the process-wide
      threshold: density is measured on the packed panel (pad lanes are
      zero and excluded from the denominator), and a tap below the
@@ -355,7 +371,7 @@ let pack l =
         tap_density.(tap) <- d;
         if d < thresh then Some sp else None)
   in
-  { layer = l; u; cout_p; sparse; tap_density; sb_flat; ws_flat; shift_flat }
+  { layer = l; u; cout_p; sparse; tap_density; sbg; rshift; half; lshift }
 
 let packed_layer p = p.layer
 let tap_densities p = Array.copy p.tap_density
@@ -392,14 +408,15 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
   then invalid_arg "Tapwise.forward_int_into: out shape mismatch";
   let od = out.Itensor.data in
   let kf = Kernels.f32_specialized variant in
-  let sb_flat = p.sb_flat and ws_flat = p.ws_flat and u = p.u in
-  let shift_flat = p.shift_flat in
+  let sbg = p.sbg and u = p.u in
+  let rshift = p.rshift and half = p.half and lshift = p.lshift in
   (* Clamp bounds and the output scale, hoisted so the per-element
      loops below are pure unboxed arithmetic (no allocating calls). *)
   let w_hi = (1 lsl (wino_bits - 1)) - 1 in
   let w_lo = -(w_hi + 1) in
   let a_hi = (1 lsl (act_bits - 1)) - 1 in
   let a_lo = -(a_hi + 1) in
+  let a_hi_f = float_of_int a_hi +. 0.5 and a_lo_f = float_of_int a_lo -. 0.5 in
   let s_y = l.s_y in
   let cout_p = p.cout_p in
   let ucincp = cin * cout_p in
@@ -408,19 +425,17 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
     (Kernels.i32_specialized variant)
     ~panels:tt ~pad ~x:x_int.Itensor.data ~n ~cin ~h ~w ~cout
     ~weights:(Kernels.Packed u)
-    (* Per-tap requant, inlined bit-identically to [requant_tap]:
-       calling it here would box the float scales every element. *)
+    (* Per-tap requant, bit-identical to [requant_tap] and branch-free
+       on the value: [s] is the sign mask, so the round-half-away shift
+       runs on |v| and the sign is restored after.  The clamp stays a
+       branch: saturation is rare and predicts well. *)
     ~scatter:(fun xt v vbase stride ->
       for tap = 0 to tt - 1 do
         let vv = xt.(tap) in
-        let k = shift_flat.(tap) in
+        let s = vv asr 62 in
         let shifted =
-          if k > 0 then begin
-            let half = 1 lsl (k - 1) in
-            if vv >= 0 then (vv + half) asr k else -((-vv + half) asr k)
-          end
-          else if k = 0 then vv
-          else vv lsl -k
+          (((((vv lxor s) - s + half.(tap)) asr rshift.(tap)) lxor s) - s)
+          lsl lshift.(tap)
         in
         v.(vbase + (tap * stride)) <-
           (if shifted > w_hi then w_hi
@@ -442,11 +457,9 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
     (* Single S_BG rescale, float back-transform, requantize. *)
     ~gather:(fun mo off stride yw yo ftmp obase rh rw ->
       for co = 0 to cout - 1 do
+        let sbase = co * tt in
         for tap = 0 to tt - 1 do
-          yw.(tap) <-
-            float_of_int mo.(off + (tap * stride) + co)
-            *. sb_flat.(tap)
-            *. ws_flat.((co * tt) + tap)
+          yw.(tap) <- float_of_int mo.(off + (tap * stride) + co) *. sbg.(sbase + tap)
         done;
         kf.Kernels.output yw 0 yo 0 ftmp;
         let bias_v =
@@ -455,11 +468,20 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
         for dy = 0 to rh - 1 do
           let orow = obase + (((co * ho) + dy) * wo) and yrow = dy * m in
           for dx = 0 to rw - 1 do
-            (* Inlined [Quantizer.quantize ~bits:act_bits ~scale:s_y]. *)
-            let r =
-              int_of_float (Float.round ((yo.(yrow + dx) +. bias_v) /. s_y))
+            (* [Quantizer.quantize ~bits:act_bits ~scale:s_y], inlined so
+               the float stays unboxed: saturate first, then truncate and
+               round half away from zero by comparing the exact fraction,
+               which needs no call to [Float.round] and no branch on the
+               sign.  NaN fails both range tests and truncates to 0. *)
+            let x = (yo.(yrow + dx) +. bias_v) /. s_y in
+            let q =
+              if x >= a_hi_f then a_hi
+              else if x <= a_lo_f then a_lo
+              else
+                let i = int_of_float x in
+                let f = x -. float_of_int i in
+                i + Bool.to_int (f >= 0.5) - Bool.to_int (f <= -0.5)
             in
-            let q = if r > a_hi then a_hi else if r < a_lo then a_lo else r in
             Kernels.epilogue_store epilogue od (orow + dx) q
           done
         done

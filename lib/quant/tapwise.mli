@@ -86,9 +86,10 @@ val weight_shift : layer -> int -> int -> int
 
 type packed
 (** A layer plus everything shape-independent the tap-major forward
-    needs, staged once: the tap-major Winograd weight panel, flattened
-    tap-scale lookups and the per-tap requant shifts.  Packing at plan
-    time removes the per-forward weight-panel rebuild. *)
+    needs, staged once: the tap-major Winograd weight panel, the folded
+    per-(channel, tap) gather scale [s_b·s_g] and the per-tap requant
+    shifts with their rounding offsets.  Packing at plan time removes
+    the per-forward weight-panel rebuild. *)
 
 val pack : layer -> packed
 (** Besides packing the weight panel, [pack] measures each tap's
@@ -96,7 +97,15 @@ val pack : layer -> packed
     [Microkernel.sparse_threshold ()] — keeps a compressed-column form
     of the panel, so [forward_int_into] runs those taps through the
     sparse GEMM driver (bit-identical; it only skips exact zeros).
-    The decision is frozen at pack time. *)
+    The decision is frozen at pack time.
+
+    The gather rescales each accumulator once, by [s_b·s_g] folded
+    here.  That equals the oracle's [(acc·s_b)·s_g] bit for bit only
+    when [s_g] is a power of two, which {!calibrate} and
+    {!Serialize} guarantee; [pack] checks every weight tap scale with
+    [Float.frexp] anyway.
+    @raise Invalid_argument naming the tap if a weight tap scale is not
+    a power of two. *)
 
 val packed_layer : packed -> layer
 (** The underlying layer (scales, bias, config). *)
@@ -120,7 +129,9 @@ val forward_int_into :
     planner arena buffer) and applies [epilogue] inside the gather store
     — requant to [s_y], then optional saturating residual add and ReLU,
     all in one pass over the output.  Bit-identical to running
-    {!forward_int} followed by the separate elementwise ops. *)
+    {!forward_int} followed by the separate elementwise ops.  No
+    per-element requantization (the per-tap input shift, the output
+    rounding, the epilogue) branches on the sign of a value. *)
 
 val forward_int : layer -> Twq_tensor.Itensor.t -> Twq_tensor.Itensor.t
 (** int8 NCHW in → int8 NCHW out (requantized with [s_y]).  Runs the

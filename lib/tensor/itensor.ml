@@ -99,13 +99,15 @@ let clamp_int ~bits v =
 
 let clamp_bits ~bits t = map (clamp_int ~bits) t
 
+(* Branch-free on the data: [s] is 0 for v >= 0 and -1 otherwise, so
+   [(v lxor s) - s] is |v| and the outer [lxor s - s] restores the sign.
+   Requantized values are sign-random, and a [v >= 0] test here
+   mispredicts about half the time.  [half] is 0 at k = 0. *)
 let round_shift v k =
   if k < 0 then invalid_arg "Itensor.round_shift: negative shift";
-  if k = 0 then v
-  else begin
-    let half = 1 lsl (k - 1) in
-    if v >= 0 then (v + half) asr k else -((-v + half) asr k)
-  end
+  let half = (1 lsl k) lsr 1 in
+  let s = v asr 62 in
+  ((((v lxor s) - s + half) asr k) lxor s) - s
 
 let of_tensor_round (t : Tensor.t) =
   { shape = Array.copy t.Tensor.shape;

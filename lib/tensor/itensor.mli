@@ -40,7 +40,9 @@ val clamp_bits : bits:int -> t -> t
 
 val round_shift : int -> int -> int
 (** [round_shift v k] — round-to-nearest (ties away from zero) arithmetic
-    right shift by [k >= 0]; the hardware requantization primitive. *)
+    right shift by [k >= 0]; the hardware requantization primitive.
+    Branch-free on the sign of [v]; exact for [|v| < 2^61] and
+    [k <= 62]. *)
 
 val of_tensor_round : Tensor.t -> t
 (** Round-to-nearest conversion. *)

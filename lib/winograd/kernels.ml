@@ -74,7 +74,8 @@ let[@inline] epilogue_store e dst off v =
           (Itensor.round_shift v a.shift_self
           + Itensor.round_shift a.other.(off) a.shift_other)
   in
-  dst.(off) <- (if e.relu && v < 0 then 0 else v)
+  (* ReLU as a sign mask: [v asr 62] is all ones exactly when v < 0. *)
+  dst.(off) <- (if e.relu then v land lnot (v asr 62) else v)
 
 (* Apply [step] as the sandwich t_m · x · t_mᵀ: stage 1 maps the columns
    of the square [inner×inner] source into [tmp] ([rows×inner]), stage 2

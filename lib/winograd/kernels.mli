@@ -65,7 +65,9 @@ val no_epilogue : epilogue
 val epilogue_store : epilogue -> int array -> int -> int -> unit
 (** [epilogue_store e dst off v] — apply [e] to the requantized value [v]
     and store the result at [dst.(off)]:
-    [add] (round-shift both operands, sum, saturate), then [relu]. *)
+    [add] (round-shift both operands, sum, saturate), then [relu].
+    Neither step branches on the sign of a value: the round-shifts and
+    the ReLU use sign masks, since the operands are sign-random. *)
 
 val f32_specialized : Transform.variant -> float kernel
 (** Fully unrolled float transforms for F2/F4/F6 with shared

@@ -232,6 +232,132 @@ let prop_tapwise =
       let want = Tapwise.forward_int_ref l xi in
       Itensor.equal got want)
 
+(* The fused epilogue as the definition, kept test-side so the property
+   below does not lean on [Kernels.epilogue_store]: round-half-away
+   shifts written with a sign branch, a saturating add, then ReLU. *)
+let reference_epilogue ~relu ~add v off =
+  let shift v k =
+    if k = 0 then v
+    else
+      let half = 1 lsl (k - 1) in
+      if v >= 0 then (v + half) asr k else -((-v + half) asr k)
+  in
+  let v =
+    match add with
+    | None -> v
+    | Some { Kernels.other; shift_self; shift_other; bits } ->
+        let hi = (1 lsl (bits - 1)) - 1 in
+        let sum = shift v shift_self + shift other.(off) shift_other in
+        if sum > hi then hi else if sum < -hi - 1 then -hi - 1 else sum
+  in
+  if relu && v < 0 then 0 else v
+
+(* The fused gather store of [Tapwise.forward_int_into] against the
+   tile-major oracle followed by [reference_epilogue]: random ReLU and an
+   optional residual add with shifts 0..2, every variant and
+   granularity, batches up to 3, 1 or 4 domains. *)
+let prop_tapwise_epilogue =
+  QCheck2.Test.make ~count:30
+    ~name:"tap-major forward_int_into ~epilogue = ref then epilogue"
+    QCheck2.Gen.(
+      tup5 variant_gen
+        (oneofl [ Tapwise.Single_scale; Tapwise.Tap_wise; Tapwise.Channel_tap_wise ])
+        (oneofl [ 1; 4 ]) (int_range 1 3) seed_gen)
+    (fun (v, gran, nd, n, seed) ->
+      let rng = Twq_util.Rng.create seed in
+      let cin = 1 + Twq_util.Rng.int rng 4
+      and cout = 1 + Twq_util.Rng.int rng 6 in
+      let h = 5 + Twq_util.Rng.int rng 9 and wd = 5 + Twq_util.Rng.int rng 9 in
+      let w = Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.5 in
+      let bias = Tensor.rand_gaussian rng [| cout |] ~mu:0.0 ~sigma:0.1 in
+      let samples = [ tensor_of_rng rng [| 1; cin; h; wd |] ] in
+      let config = { (Tapwise.default_config v) with Tapwise.granularity = gran } in
+      let l = Tapwise.calibrate ~config ~w ~bias ~sample_inputs:samples ~pad:1 () in
+      let xi =
+        Quantizer.quantize_tensor ~bits:config.Tapwise.act_bits ~scale:l.Tapwise.s_x
+          (tensor_of_rng rng [| n; cin; h; wd |])
+      in
+      let base = Tapwise.forward_int_ref l xi in
+      let numel = Array.length base.Itensor.data in
+      let add =
+        if Twq_util.Rng.int rng 2 = 0 then None
+        else
+          Some
+            {
+              Kernels.other =
+                Array.init numel (fun _ -> Twq_util.Rng.int rng 256 - 128);
+              shift_self = Twq_util.Rng.int rng 3;
+              shift_other = Twq_util.Rng.int rng 3;
+              bits = 8;
+            }
+      in
+      let relu = Twq_util.Rng.int rng 2 = 0 in
+      let want =
+        Array.mapi (fun off v -> reference_epilogue ~relu ~add v off) base.Itensor.data
+      in
+      let got = Itensor.zeros base.Itensor.shape in
+      with_domains nd (fun () ->
+          Tapwise.forward_int_into ~epilogue:{ Kernels.relu; add } (Tapwise.pack l) xi
+            ~out:got);
+      got.Itensor.data = want)
+
+(* Exact halves in the output store.  With pow2 scales every gather
+   value is an integer multiple of the smallest s_b·s_g, so an output
+   scale s_y = 2^j times that puts ties on the rounding boundary, which
+   random calibrated layers almost never reach.  The store must round
+   them away from zero exactly as [Quantizer.quantize] in the oracle
+   does; j runs from 1 (ties everywhere, most outputs saturated) up to
+   8 (few ties, few saturated). *)
+let prop_tapwise_store_ties =
+  QCheck2.Test.make ~count:20 ~name:"tap-major store rounds exact halves like ref"
+    QCheck2.Gen.(pair variant_gen seed_gen)
+    (fun (v, seed) ->
+      let rng = Twq_util.Rng.create seed in
+      let cin = 1 + Twq_util.Rng.int rng 3
+      and cout = 1 + Twq_util.Rng.int rng 4 in
+      let h = 6 + Twq_util.Rng.int rng 6 and wd = 6 + Twq_util.Rng.int rng 6 in
+      let w = Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.5 in
+      let x = tensor_of_rng rng [| 2; cin; h; wd |] in
+      let config = Tapwise.default_config v in
+      let l = Tapwise.calibrate ~config ~w ~sample_inputs:[ x ] ~pad:1 () in
+      let t = Transform.t v in
+      let min_sbg = ref Float.infinity in
+      for co = 0 to cout - 1 do
+        for i = 0 to t - 1 do
+          for j = 0 to t - 1 do
+            min_sbg :=
+              Float.min !min_sbg (l.Tapwise.s_b.(i).(j) *. Tapwise.weight_scale l co i j)
+          done
+        done
+      done;
+      let xi = Quantizer.quantize_tensor ~bits:8 ~scale:l.Tapwise.s_x x in
+      List.for_all
+        (fun j ->
+          let l = { l with Tapwise.s_y = Float.ldexp !min_sbg j } in
+          Itensor.equal (Tapwise.forward_int l xi) (Tapwise.forward_int_ref l xi))
+        [ 1; 2; 3; 5; 8 ])
+
+(* The same for the packed im2col store: with pow2 s_x and s_w and no
+   bias, s_y = 2^j·s_x·s_w makes every odd accumulator at j = 1 a tie. *)
+let prop_qconv_store_ties =
+  QCheck2.Test.make ~count:20 ~name:"packed qconv store rounds exact halves like direct"
+    QCheck2.Gen.(pair (oneofl [ 1; 2 ]) seed_gen)
+    (fun (stride, seed) ->
+      let rng = Twq_util.Rng.create seed in
+      let cin = 1 + Twq_util.Rng.int rng 4 and cout = 1 + Twq_util.Rng.int rng 6 in
+      let w = Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.3 in
+      let x = tensor_of_rng rng [| 2; cin; 7; 7 |] in
+      let l = Qconv.calibrate ~pow2:true ~w ~sample_inputs:[ x ] ~stride ~pad:1 () in
+      let xi = Quantizer.quantize_tensor ~bits:8 ~scale:l.Qconv.s_x x in
+      List.for_all
+        (fun j ->
+          let l = { l with Qconv.s_y = Float.ldexp (l.Qconv.s_x *. l.Qconv.s_w) j } in
+          let want = Qconv.forward_int l xi in
+          let got = Itensor.zeros want.Itensor.shape in
+          Qconv.forward_int_into (Qconv.pack l) xi ~out:got;
+          Itensor.equal got want)
+        [ 1; 2; 3; 5; 8; 12 ])
+
 (* ---------------------------------- microkernel GEMM drivers *)
 
 (* Driver-level fold order at the one register block: both GEMM drivers
@@ -574,12 +700,15 @@ let () =
         prop_conv_int_four_domains;
         prop_gconv;
         prop_tapwise;
+        prop_tapwise_epilogue;
+        prop_tapwise_store_ties;
         prop_micro_f32_edge;
         prop_micro_int_edge;
         prop_gemm_drivers;
         prop_sparse_gemm;
         prop_tapwise_sparse;
         prop_qconv_packed;
+        prop_qconv_store_ties;
       ]
   in
   Alcotest.run "kernels"

@@ -26,6 +26,52 @@ let test_quantize_clamp () =
   Alcotest.(check int) "rounds" 3 (Quantizer.quantize ~bits:8 ~scale:1.0 2.5);
   Alcotest.(check int) "scaled" 25 (Quantizer.quantize ~bits:8 ~scale:0.1 2.51)
 
+(* Saturation must happen in float: [int_of_float] of an out-of-range
+   value is unspecified (on amd64 +inf and 1e19 read back as 0, and 5e18
+   wraps negative). *)
+let test_quantize_saturates () =
+  let q = Quantizer.quantize ~bits:8 ~scale:1.0 in
+  List.iter
+    (fun (x, want) -> Alcotest.(check int) (Printf.sprintf "%h" x) want (q x))
+    [
+      (Float.infinity, 127); (5e18, 127); (1e19, 127); (Float.max_float, 127);
+      (Float.neg_infinity, -128); (-5e18, -128); (-1e19, -128);
+      (-.Float.max_float, -128); (Float.nan, 0); (127.49, 127); (127.5, 127);
+      (-128.49, -128); (-128.5, -128);
+    ]
+
+(* [Quantizer.quantize] truncates and tests the fraction instead of
+   calling [Float.round]; the reference rounds with [Float.round] and
+   clamps in float (NaN to 0).  Cases: exact halves n + 0.5, their
+   neighbours [Float.pred]/[Float.succ], random floats around the int8
+   range, and out-of-range magnitudes up to infinity and NaN. *)
+let prop_quantize_matches_round_clamp =
+  let gen =
+    QCheck.Gen.(
+      let half = map (fun n -> float_of_int n +. 0.5) (int_range (-300) 300) in
+      pair (int_range 2 16)
+        (oneof
+           [
+             half;
+             map Float.pred half;
+             map Float.succ half;
+             float_range (-300.0) 300.0;
+             map (fun e -> Float.ldexp 1.0 e) (int_range 0 1023);
+             map (fun e -> -.Float.ldexp 1.0 e) (int_range 0 1023);
+             oneofl [ Float.infinity; Float.neg_infinity; Float.nan; 5e18; -5e18 ];
+           ]))
+  in
+  let print (bits, x) = Printf.sprintf "bits=%d x=%h" bits x in
+  QCheck.Test.make ~name:"quantize = Float.round then clamp" ~count:3000
+    (QCheck.make ~print gen) (fun (bits, x) ->
+      let hi = float_of_int (Quantizer.qmax ~bits)
+      and lo = float_of_int (Quantizer.qmin ~bits) in
+      let want =
+        if Float.is_nan x then 0
+        else int_of_float (Float.max lo (Float.min hi (Float.round x)))
+      in
+      Quantizer.quantize ~bits ~scale:1.0 x = want)
+
 let test_pow2_round_up () =
   Alcotest.(check (float 1e-12)) "0.3 -> 0.5" 0.5 (Quantizer.pow2_round_up 0.3);
   Alcotest.(check (float 1e-12)) "exact stays" 0.25 (Quantizer.pow2_round_up 0.25);
@@ -218,6 +264,28 @@ let test_tapwise_pow2_scales_are_pow2_multiples () =
       Alcotest.(check bool) "ratio is 2^k" true (Float.abs (k -. Float.round k) < 1e-9)
     done
   done
+
+(* [pack] folds s_b·s_g into one gather scale, exact only for a
+   power-of-two s_g; it checks rather than assumes it. *)
+let test_tapwise_pack_rejects_non_pow2_weight_scale () =
+  let rejects what l =
+    match Tapwise.pack l with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: non-pow2 s_g packed" what
+  in
+  let config = Tapwise.default_config Transform.F4 in
+  let layer, _, _ = calibrated config ~seed:8 ~cin:2 ~cout:2 ~h:8 ~w:8 in
+  ignore (Tapwise.pack layer);
+  let s_g = Array.map Array.copy layer.Tapwise.s_g in
+  s_g.(1).(2) <- 3.0 *. s_g.(1).(2);
+  rejects "tap-wise" { layer with Tapwise.s_g };
+  let config = { config with Tapwise.granularity = Tapwise.Channel_tap_wise } in
+  let layer, _, _ = calibrated config ~seed:8 ~cin:2 ~cout:2 ~h:8 ~w:8 in
+  ignore (Tapwise.pack layer);
+  let grids = Option.get layer.Tapwise.s_g_channel in
+  let grids = Array.map (Array.map Array.copy) grids in
+  grids.(1).(0).(3) <- 1.5 *. grids.(1).(0).(3);
+  rejects "channel-tap" { layer with Tapwise.s_g_channel = Some grids }
 
 let prop_tapwise_noise_bounded =
   QCheck.Test.make ~name:"tap-wise F4 noise bounded over random layers" ~count:8
@@ -544,6 +612,8 @@ let () =
           Alcotest.test_case "ranges" `Quick test_qrange;
           Alcotest.test_case "scale_for" `Quick test_scale_for;
           Alcotest.test_case "quantize clamp" `Quick test_quantize_clamp;
+          Alcotest.test_case "quantize saturates" `Quick test_quantize_saturates;
+          qt prop_quantize_matches_round_clamp;
           Alcotest.test_case "pow2 round up" `Quick test_pow2_round_up;
           qt prop_fake_quant_idempotent;
           qt prop_quant_error_bounded;
@@ -567,6 +637,8 @@ let () =
           Alcotest.test_case "shifts sane" `Quick test_tapwise_shifts_sane;
           Alcotest.test_case "shift spread" `Quick test_tapwise_shift_spread_f4;
           Alcotest.test_case "pow2 ratios" `Quick test_tapwise_pow2_scales_are_pow2_multiples;
+          Alcotest.test_case "pack rejects non-pow2 s_g" `Quick
+            test_tapwise_pack_rejects_non_pow2_weight_scale;
           Alcotest.test_case "channel+tap granularity" `Quick test_tapwise_channel_tap_granularity;
           qt prop_tapwise_noise_bounded;
         ] );

@@ -271,6 +271,26 @@ let test_serialize_rejects_inexact_tap_scale () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "s_b(0,0) = 4 s_x rejected: %s" e.Serialize.message
 
+(* [Tapwise.pack] folds s_b·s_g into one exact rescale, which needs every
+   weight tap scale to be a power of two: a non-pow2 s_g or s_g_channel
+   entry is refused at load, naming the tap. *)
+let test_serialize_rejects_non_pow2_weight_scale () =
+  let l = rand_layer 4 in
+  let s_g = Array.map Array.copy l.Tapwise.s_g in
+  s_g.(0).(0) <- 3.0 *. s_g.(0).(0);
+  rejects_naming "s_g(0,0) tripled" ~needle:"s_g(0,0)"
+    (Serialize.layer_to_string { l with Tapwise.s_g });
+  s_g.(0).(0) <- 2.0 *. l.Tapwise.s_g.(0).(0);
+  (match Serialize.layer_of_string_result
+           (Serialize.layer_to_string { l with Tapwise.s_g }) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "s_g(0,0) doubled rejected: %s" e.Serialize.message);
+  let l = rand_layer 5 in
+  let grids = Array.map (Array.map Array.copy) (Option.get l.Tapwise.s_g_channel) in
+  grids.(0).(1).(1) <- 3.0 *. grids.(0).(1).(1);
+  rejects_naming "s_g_channel(1,1) tripled" ~needle:"s_g_channel(1,1)"
+    (Serialize.layer_to_string { l with Tapwise.s_g_channel = Some grids })
+
 let tensor_rejects what s =
   match Serialize.read_tensor (Serialize.reader_of_string s) with
   | exception Serialize.Parse_failure _ -> ()
@@ -598,6 +618,8 @@ let () =
             test_serialize_rejects_pow2_false;
           Alcotest.test_case "rejects inexact tap scale" `Quick
             test_serialize_rejects_inexact_tap_scale;
+          Alcotest.test_case "rejects non-pow2 weight tap scale" `Quick
+            test_serialize_rejects_non_pow2_weight_scale;
         ] );
       ( "guards",
         [

@@ -103,6 +103,29 @@ let prop_round_shift_matches_float =
       let expected = int_of_float (Float.round (float_of_int v /. float_of_int (1 lsl k))) in
       Itensor.round_shift v k = expected)
 
+(* Round-half-away shift written with a sign branch: the definition the
+   sign-mask [Itensor.round_shift] must match. *)
+let round_shift_branchy v k =
+  if k = 0 then v
+  else
+    let half = 1 lsl (k - 1) in
+    if v >= 0 then (v + half) asr k else -((-v + half) asr k)
+
+let prop_round_shift_branch_free =
+  (* Small values exercise ties and sign flips; wide ones the full
+     |v| < 2^61 range where |v| + 2^(k-1) still fits a 63-bit int. *)
+  let bound = (1 lsl 61) - 1 in
+  let v_gen =
+    QCheck.Gen.(
+      oneof
+        [ int_range (-1000) 1000; int_range (-bound) bound;
+          oneofl [ bound; -bound; 0; 1; -1 ] ])
+  in
+  QCheck.Test.make ~name:"branch-free round_shift = branchy definition"
+    ~count:2000
+    (QCheck.pair (QCheck.make ~print:string_of_int v_gen) (QCheck.int_range 0 62))
+    (fun (v, k) -> Itensor.round_shift v k = round_shift_branchy v k)
+
 let test_itensor_matmul () =
   let a = Itensor.of_array [| 2; 2 |] [| 1; 2; 3; 4 |] in
   let b = Itensor.of_array [| 2; 2 |] [| 5; 6; 7; 8 |] in
@@ -284,6 +307,7 @@ let () =
           Alcotest.test_case "round shift" `Quick test_itensor_round_shift;
           Alcotest.test_case "matmul" `Quick test_itensor_matmul;
           qt prop_round_shift_matches_float;
+          qt prop_round_shift_branch_free;
         ] );
       ( "ops",
         [
