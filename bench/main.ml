@@ -230,7 +230,10 @@ let rns_plan_f6 =
    B panel is pruned to the target density before packing, so the pair
    isolates exactly what skipping exact zeros buys at that density; the
    -dense row doubles as the guard that the dense path's numbers are
-   untouched by the sparse machinery. *)
+   untouched by the sparse machinery.  The -paired row runs the same
+   panel two products per word ([gemm_i32_pair]; int8 × int8 sums over
+   k = 64 are far inside its 31-bit lanes), the dense kernel every
+   proven tap-wise layer's dense taps take. *)
 
 module MK = Twq.Winograd.Microkernel
 
@@ -255,6 +258,8 @@ let sparse_gemm_pair density tag =
         else 0)
   in
   let sp = MK.compress_panel ~nr ~k:gemm_k ~cols:gemm_cols up ~uo:0 in
+  let up_pair = Array.make (cols_p * gemm_k / 2) 0 in
+  MK.pair_panel up ~so:0 ~n:(cols_p * gemm_k) up_pair ~doff:0;
   let c = Array.make (gemm_rows_p * cols_p) 0 in
   [
     ( Printf.sprintf "tapwise-gemm-sparse-%s" tag,
@@ -265,6 +270,10 @@ let sparse_gemm_pair density tag =
       fun () ->
         MK.gemm_i32 ~mr ~nr ~kc ~rows_p:gemm_rows_p ~cols_p ~k:gemm_k ~vp
           ~vo:0 ~up ~uo:0 ~c ~co:0 ~cstride:cols_p );
+    ( Printf.sprintf "tapwise-gemm-paired-%s" tag,
+      fun () ->
+        MK.gemm_i32_pair ~mr ~nr ~kc ~rows_p:gemm_rows_p ~cols_p ~k:gemm_k ~vp
+          ~vo:0 ~up:up_pair ~uo:0 ~c ~co:0 ~cstride:cols_p );
   ]
 
 (* ------------ paired packed-GEMM vs direct-loop strided int8 conv *)
@@ -690,6 +699,7 @@ let tier1 =
        path stayed untouched. *)
     "tapwise-gemm-sparse-d30";
     "tapwise-gemm-dense-d30";
+    "tapwise-gemm-paired-d30";
     "intgraph-resnet20-sparse-d30";
     "intgraph-resnet20-dense-d30";
     (* Only the packed row gates: the direct loop is the oracle. *)

@@ -292,6 +292,15 @@ let build_graph_model ~arch ~res ~width_div ~classes ~seed =
   let cal = STensor.rand_gaussian rng [| 2; 3; res; res |] ~mu:0.0 ~sigma:1.0 in
   Twq_nn.Int_graph.quantize g ~calibration:cal ()
 
+(* The per-layer range-proof roll-up: Winograd layers whose per-tap
+   accumulators provably fit 31 bits run two int8 products per word. *)
+let print_pairing ig =
+  let paired, layers, bits = Twq_nn.Int_graph.wino_pairing ig in
+  Printf.printf
+    "paired-lane GEMM: %d/%d winograd layers (max accumulator %d bits, \
+     pairing needs <= %d)\n"
+    paired layers bits Twq_winograd.Microkernel.pair_acc_bits
+
 let publish_cmd =
   let doc =
     "Build a small quantized model (integer graph over the tap-wise \
@@ -332,6 +341,7 @@ let publish_cmd =
     let ig = build_graph_model ~arch ~res ~width_div ~classes ~seed in
     let model = Serve.Model.Graph ig in
     let input_dims = [| 3; res; res |] in
+    print_pairing ig;
     match fleet with
     | None ->
         let reg = open_registry dir in
@@ -507,6 +517,7 @@ let prune_cmd =
        at threshold %.2f\n"
       before after density sparse total
       (Twq_winograd.Microkernel.sparse_threshold ());
+    print_pairing pruned;
     if check > 0 then begin
       (* Dense oracle: the same deterministic prune re-packed with the
          compressed-panel driver disabled. *)

@@ -352,6 +352,9 @@ let winograd_density t =
 let wino_sparsity t =
   match t.plans with Some c -> Plan.wino_sparsity c | None -> (0, 0)
 
+let wino_pairing t =
+  match t.plans with Some c -> Plan.wino_pairing c | None -> (0, 0, 0)
+
 (* --------------------------------------------------------------- file I/O *)
 
 module Serialize = Twq_quant.Serialize

@@ -70,6 +70,11 @@ val wino_sparsity : t -> int * int
 (** [Plan.wino_sparsity] of the graph's plan cache; [(0, 0)] for
     graphs without plans. *)
 
+val wino_pairing : t -> int * int * int
+(** [Plan.wino_pairing] of the graph's plan cache —
+    [(paired, winograd_layers, max_acc_bits)]; [(0, 0, 0)] for graphs
+    without plans. *)
+
 (** {2 File I/O} *)
 
 val to_string : t -> string

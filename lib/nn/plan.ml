@@ -476,7 +476,7 @@ let exec_step t d x s st =
       done
   | S_wino { p; src; dst; _ } ->
       (* Runs the register-tiled microkernel GEMM path: [p] carries the
-         NR-packed Winograd weight panel from [Tapwise.pack]. *)
+         packed Winograd weight panels from [Tapwise.pack]. *)
       Tapwise.forward_int_into ~epilogue:d.epi.(s) p d.view.(src)
         ~out:d.view.(dst)
   | S_spatial { p; src; dst; _ } ->
@@ -669,6 +669,20 @@ let wino_sparsity c =
             total + Array.length (Tapwise.tap_densities p) )
       | _ -> (sparse, total))
     (0, 0) c.program.pnodes
+
+(* The per-layer kernel-width decisions, also frozen at lowering:
+   which layers' range proofs let their dense taps run two products
+   per word, and the widest accumulator any proof had to allow. *)
+let wino_pairing c =
+  Array.fold_left
+    (fun (paired, layers, bits) { prim; _ } ->
+      match prim with
+      | P_wino p ->
+          ( (paired + if Tapwise.paired p then 1 else 0),
+            layers + 1,
+            max bits (Tapwise.acc_bits p) )
+      | _ -> (paired, layers, bits))
+    (0, 0, 0) c.program.pnodes
 
 let run c x =
   if Tensor.rank x <> 4 then invalid_arg "Plan.run: input must be NCHW";

@@ -120,3 +120,11 @@ val wino_sparsity : cache -> int * int
     layers: how many taps will execute through the compressed-panel
     GEMM driver versus the total number of taps.  The split was decided
     per tap at lowering time against [Microkernel.sparse_threshold]. *)
+
+val wino_pairing : cache -> int * int * int
+(** [(paired, layers, max_acc_bits)] over the program's packed Winograd
+    layers: how many passed {!Tapwise.pack}'s accumulator range proof
+    and run their dense taps two int products per word
+    ([Microkernel.gemm_i32_pair]), out of how many, and the largest
+    worst-case accumulator width ({!Tapwise.acc_bits}) among them
+    ([0] without Winograd layers). *)

@@ -204,7 +204,9 @@ let weight_shift l i j = shift_of_ratio (l.s_g.(i).(j) /. l.s_w)
    is the hardware round-shift. *)
 let requant_tap ~bits ~s_from ~s_to v =
   let k = shift_of_ratio (s_to /. s_from) in
-  let shifted = if k >= 0 then Itensor.round_shift v k else v lsl -k in
+  let shifted =
+    if k >= 0 then Itensor.round_shift v (min k 62) else v lsl min (-k) bits
+  in
   Itensor.clamp_int ~bits shifted
 
 (* Tile-major reference path for the integer pipeline — kept as the
@@ -285,16 +287,25 @@ module Kernels = Twq_winograd.Kernels
 module Microkernel = Twq_winograd.Microkernel
 
 (* Everything about the layer that does not depend on the input shape,
-   staged once: the tap-major Winograd weight panel [u], the folded
+   staged once: the dense taps' Winograd weight panels, the folded
    gather scales and the per-tap requant shifts.  [forward_int]
    rebuilt these on every call before the planner existed; packing at
    plan/lowering time removes that per-forward cost entirely. *)
 type packed = {
   layer : layer;
-  u : int array;
-      (* Winograd weights, NR-packed for the microkernel:
-         u[tap·cin·cout_p + ((jb·cin + ci)·nr + jr)] with [co = jb·nr+jr];
-         pad lanes [co ≥ cout] are zero. *)
+  panel : int array;
+      (* The dense taps' Winograd weights, one panel per dense tap at
+         [tap_off.(tap)]: NR-packed [u[((jb·cin + ci)·nr + jr)]] with
+         [co = jb·nr+jr], or, when [paired], the same panel with each
+         pair of adjacent lanes folded into one int
+         ([Microkernel.pair_panel]).  Pad lanes [co ≥ cout] are zero;
+         sparse taps have no dense panel. *)
+  tap_off : int array;
+  paired : bool;
+      (* The range proof held: every per-tap accumulator fits
+         [Microkernel.pair_acc_bits], so dense taps run
+         [Microkernel.gemm_i32_pair]. *)
+  acc_bits : int;  (* worst-case signed accumulator bits of the proof *)
   cout_p : int;  (* cout rounded up to [nr] *)
   sparse : Microkernel.sparse option array;
       (* Per-tap compressed panel, present iff the tap's measured
@@ -306,19 +317,23 @@ type packed = {
          rescale of the gather.  Every s_g is a power of two ([pack]
          checks it), so (acc·s_b)·s_g = acc·(s_b·s_g) exactly. *)
   (* Per-tap requant s_b(tap)/s_from = 2^k as a right shift [rshift] =
-     max k 0 with its rounding offset [half] = 2^(rshift-1) (0 when
-     rshift = 0), then a left shift [lshift] = max (-k) 0.  The scatter
-     runs per element; going through [requant_tap] there would box its
-     float arguments on every call (no flambda), and branching on k or
-     on the value's sign costs mispredictions, so the hot loop is
-     straight-line int arithmetic. *)
+     min (max k 0) 62 with its rounding offset [half] = 2^(rshift-1)
+     (0 when rshift = 0), then a left shift [lshift] = min (max (-k) 0)
+     wino_bits.  The caps keep both shifts inside the word (OCaml's
+     [asr 64] and [lsl 63] do not shift by that much) and change no
+     result: a right shift by 62 already rounds every |v| < 2^61 to 0,
+     and a left shift by wino_bits already saturates every v ≠ 0.  The
+     scatter runs per element; going through [requant_tap] there would
+     box its float arguments on every call (no flambda), and branching
+     on k or on the value's sign costs mispredictions, so the hot loop
+     is straight-line int arithmetic. *)
   rshift : int array;
   half : int array;
   lshift : int array;
 }
 
 let pack l =
-  let { variant; _ } = l.config in
+  let { variant; wino_bits; _ } = l.config in
   let t = Transform.t variant in
   let tt = t * t in
   let cout = Itensor.dim l.wq 0 and cin = Itensor.dim l.wq 1 in
@@ -341,39 +356,92 @@ let pack l =
   let { Microkernel.nr; _ } = Microkernel.config () in
   let cout_p = Microkernel.round_up cout nr in
   let ucincp = cin * cout_p in
-  let u =
-    Kernels.pack_weights Kernels.i32_lane ~panels:tt ~cin ~cout
-      l.wq.Itensor.data
-  in
   let s_from = l.s_x /. bt2 in
   let shift =
     Array.init tt (fun tap -> shift_of_ratio (l.s_b.(tap / t).(tap mod t) /. s_from))
   in
-  let rshift = Array.map (fun k -> max k 0) shift in
+  let rshift = Array.map (fun k -> min (max k 0) 62) shift in
   let half = Array.map (fun k -> (1 lsl k) lsr 1) rshift in
-  let lshift = Array.map (fun k -> max (-k) 0) shift in
-  (* Sparse/dense is decided here, per tap, against the process-wide
-     threshold: density is measured on the packed panel (pad lanes are
-     zero and excluded from the denominator), and a tap below the
-     cutoff keeps its compressed form for [forward_int_into].  With the
-     threshold at 0.0 every tap stays [None] and execution is the dense
-     path, byte for byte. *)
+  let lshift = Array.map (fun k -> min (max (-k) 0) wino_bits) shift in
+  (* One pass over the weights for both per-tap decisions.  The range
+     proof: the scatter clamps every activation to |a| ≤ 2^(wino_bits-1)
+     and C starts at zero, so every prefix sum of tap [tap], column [co]
+     is bounded by 2^(wino_bits-1) · Σ_ci |wq(co, ci, tap)|; the worst
+     of these over (tap, co) needs [acc_bits] signed bits.  The sums
+     are taken in floats so that weights from a loaded artifact cannot
+     wrap them: they are exact below 2^53, and any sum that large
+     fails the proof anyway.  For an integer s > 0, [Float.frexp s]
+     returns the e with 2^(e-1) ≤ s < 2^e. *)
+  let wd = l.wq.Itensor.data in
+  let nnz = Array.make tt 0 and colsum = Array.make tt 0.0 in
+  let wsum_max = ref 0.0 in
+  for co = 0 to cout - 1 do
+    Array.fill colsum 0 tt 0.0;
+    for ci = 0 to cin - 1 do
+      let base = ((co * cin) + ci) * tt in
+      for tap = 0 to tt - 1 do
+        let w = wd.(base + tap) in
+        colsum.(tap) <- colsum.(tap) +. Float.abs (float_of_int w);
+        nnz.(tap) <- nnz.(tap) + Bool.to_int (w <> 0)
+      done
+    done;
+    Array.iter (fun s -> wsum_max := Float.max !wsum_max s) colsum
+  done;
+  let acc_bits =
+    if !wsum_max = 0.0 then 1 else wino_bits + snd (Float.frexp !wsum_max)
+  in
+  let paired = acc_bits <= Microkernel.pair_acc_bits in
+  (* Sparse/dense is decided per tap against the process-wide
+     threshold: density is the nonzero fraction of the tap's weights
+     (the packed panel's pad lanes are zero and not counted), and a tap
+     below the cutoff keeps only its compressed form.  With the
+     threshold at 0.0 every tap stays dense, byte for byte. *)
   let thresh = Microkernel.sparse_threshold () in
   let denom = float_of_int (max 1 (cin * cout)) in
-  let tap_density = Array.make tt 1.0 in
-  let sparse =
-    Array.init tt (fun tap ->
-        let sp =
-          Microkernel.compress_panel ~nr ~k:cin ~cols:cout_p u
-            ~uo:(tap * ucincp)
-        in
-        let d = float_of_int (Microkernel.sparse_nnz sp) /. denom in
-        tap_density.(tap) <- d;
-        if d < thresh then Some sp else None)
+  let tap_density = Array.map (fun z -> float_of_int z /. denom) nnz in
+  let width = if paired then ucincp / 2 else ucincp in
+  let ndense =
+    Array.fold_left (fun a d -> if d < thresh then a else a + 1) 0 tap_density
   in
-  { layer = l; u; cout_p; sparse; tap_density; sbg; rshift; half; lshift }
+  (* One row of the tap grid at a time through a reused buffer of [t]
+     wide tap panels, so a paired layer never holds the whole wide
+     panel, while each pass over the weights still reads [t] contiguous
+     taps per (co, ci) instead of striding over all [t²]. *)
+  let panel = Array.make (ndense * width) 0 in
+  let tap_off = Array.make tt 0 in
+  let sparse = Array.make tt None in
+  let buf = Array.make (t * ucincp) 0 in
+  let next = ref 0 in
+  for row = 0 to t - 1 do
+    for co = 0 to cout - 1 do
+      for ci = 0 to cin - 1 do
+        let src = ((((co * cin) + ci) * tt) + (row * t))
+        and dst = (((co / nr * cin) + ci) * nr) + (co mod nr) in
+        for j = 0 to t - 1 do
+          buf.((j * ucincp) + dst) <- wd.(src + j)
+        done
+      done
+    done;
+    for j = 0 to t - 1 do
+      let tap = (row * t) + j and so = j * ucincp in
+      if tap_density.(tap) < thresh then
+        sparse.(tap) <-
+          Some (Microkernel.compress_panel ~nr ~k:cin ~cols:cout_p buf ~uo:so)
+      else begin
+        tap_off.(tap) <- !next;
+        if paired then
+          Microkernel.pair_panel buf ~so ~n:ucincp panel ~doff:!next
+        else Array.blit buf so panel !next ucincp;
+        next := !next + width
+      end
+    done
+  done;
+  { layer = l; panel; tap_off; paired; acc_bits; cout_p; sparse; tap_density;
+    sbg; rshift; half; lshift }
 
 let packed_layer p = p.layer
+let paired p = p.paired
+let acc_bits p = p.acc_bits
 let tap_densities p = Array.copy p.tap_density
 
 let sparse_tap_count p =
@@ -384,10 +452,11 @@ let sparse_tap_count p =
 (* Production path: the same integer pipeline run by the shared
    tap-major loop ({!Twq_winograd.Kernels.tap_major}) — transform +
    per-tap requantize each tile once, run one register-tiled int GEMM per
-   tap ({!Twq_winograd.Microkernel}) against the NR-packed pre-quantized
-   Winograd weights, rescale with [S_BG], back-transform, requantize with
-   [s_y].  Integer addition is associative, so the blocked GEMM stays
-   bit-identical to [forward_int_ref].  Writes into the caller-provided
+   tap ({!Twq_winograd.Microkernel}) against the packed pre-quantized
+   Winograd weights (paired, wide or compressed, as [pack] decided),
+   rescale with [S_BG], back-transform, requantize with [s_y].  Integer
+   addition is associative and the paired lanes are proven not to
+   overflow, so every GEMM stays bit-identical to [forward_int_ref].  Writes into the caller-provided
    [out] and applies [epilogue] in the gather store, so the planner can
    fuse requant/ReLU/residual-add into this single output pass. *)
 let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
@@ -408,7 +477,8 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
   then invalid_arg "Tapwise.forward_int_into: out shape mismatch";
   let od = out.Itensor.data in
   let kf = Kernels.f32_specialized variant in
-  let sbg = p.sbg and u = p.u in
+  let sbg = p.sbg and panel = p.panel and tap_off = p.tap_off in
+  let paired = p.paired in
   let rshift = p.rshift and half = p.half and lshift = p.lshift in
   (* Clamp bounds and the output scale, hoisted so the per-element
      loops below are pure unboxed arithmetic (no allocating calls). *)
@@ -419,12 +489,10 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
   let a_hi_f = float_of_int a_hi +. 0.5 and a_lo_f = float_of_int a_lo -. 0.5 in
   let s_y = l.s_y in
   let cout_p = p.cout_p in
-  let ucincp = cin * cout_p in
   let { Microkernel.mr; nr; kc } = Microkernel.config () in
   Kernels.tap_major Kernels.i32_lane Kernels.f32_lane
     (Kernels.i32_specialized variant)
     ~panels:tt ~pad ~x:x_int.Itensor.data ~n ~cin ~h ~w ~cout
-    ~weights:(Kernels.Packed u)
     (* Per-tap requant, bit-identical to [requant_tap] and branch-free
        on the value: [s] is the sign mask, so the round-half-away shift
        runs on |v| and the sign is restored after.  The clamp stays a
@@ -445,15 +513,20 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
     (* int2b accumulation over input channels, exact and
        order-independent.  Taps whose packed panel came out below the
        sparse threshold run the compressed-column driver — bit-identical,
-       it only skips exact zeros. *)
-    ~gemm:(fun tap rows_p v vo mo co ->
+       it only skips exact zeros; the dense taps of a layer whose range
+       proof held run two products per word, bit-identical within the
+       proven bound. *)
+    ~weights:(Kernels.Gemm (fun tap rows_p v vo mo co ->
       match p.sparse.(tap) with
       | Some sp ->
           Microkernel.gemm_i32_sparse ~mr ~rows_p ~sp ~vp:v ~vo ~c:mo ~co
             ~cstride:cout_p
+      | None when paired ->
+          Microkernel.gemm_i32_pair ~mr ~nr ~kc ~rows_p ~cols_p:cout_p ~k:cin
+            ~vp:v ~vo ~up:panel ~uo:tap_off.(tap) ~c:mo ~co ~cstride:cout_p
       | None ->
           Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p:cout_p ~k:cin
-            ~vp:v ~vo ~up:u ~uo:(tap * ucincp) ~c:mo ~co ~cstride:cout_p)
+            ~vp:v ~vo ~up:panel ~uo:tap_off.(tap) ~c:mo ~co ~cstride:cout_p))
     (* Single S_BG rescale, float back-transform, requantize. *)
     ~gather:(fun mo off stride yw yo ftmp obase rh rw ->
       for co = 0 to cout - 1 do

@@ -86,18 +86,37 @@ val weight_shift : layer -> int -> int -> int
 
 type packed
 (** A layer plus everything shape-independent the tap-major forward
-    needs, staged once: the tap-major Winograd weight panel, the folded
-    per-(channel, tap) gather scale [s_b·s_g] and the per-tap requant
-    shifts with their rounding offsets.  Packing at plan time removes
-    the per-forward weight-panel rebuild. *)
+    needs, staged once: the dense taps' Winograd weight panels, the
+    folded per-(channel, tap) gather scale [s_b·s_g] and the per-tap
+    requant shifts with their rounding offsets.  Packing at plan time
+    removes the per-forward weight-panel rebuild. *)
 
 val pack : layer -> packed
-(** Besides packing the weight panel, [pack] measures each tap's
-    nonzero density and — for taps strictly below
-    [Microkernel.sparse_threshold ()] — keeps a compressed-column form
-    of the panel, so [forward_int_into] runs those taps through the
-    sparse GEMM driver (bit-identical; it only skips exact zeros).
-    The decision is frozen at pack time.
+(** Stages the layer for {!forward_int_into}, taking two per-layer
+    execution decisions that are then frozen:
+
+    - {e Sparse or dense, per tap.}  [pack] measures each tap's nonzero
+      density; a tap strictly below [Microkernel.sparse_threshold ()]
+      keeps only a compressed-column form of its panel and runs the
+      sparse GEMM driver (bit-identical; it only skips exact zeros).
+    - {e Two products per word or one, per layer.}  The scatter clamps
+      every Winograd-domain activation to [|a| ≤ 2^(wino_bits−1)], so
+      every per-tap accumulator is bounded by
+      [2^(wino_bits−1) · max over (tap, co) of Σ_ci |wq(co, ci, tap)|];
+      {!acc_bits} is the signed width of that bound.  When it is at
+      most [Microkernel.pair_acc_bits] (31), the dense taps are packed
+      as paired panels only and run [Microkernel.gemm_i32_pair],
+      bit-identical to the wide [gemm_i32]; otherwise they keep the
+      wide panel and [gemm_i32].  There is no knob: the proof decides.
+
+    The panels are built one row of the tap grid at a time through a
+    reused buffer of [t] wide tap panels, so a paired layer never holds
+    the whole wide panel.
+
+    Each tap's requant shift [k = log2 (s_b/s_from)] is capped at a
+    right shift of 62 and a left shift of [wino_bits], which changes
+    no result (the capped shifts already round to 0 and saturate) but
+    keeps the shift inside the machine word.
 
     The gather rescales each accumulator once, by [s_b·s_g] folded
     here.  That equals the oracle's [(acc·s_b)·s_g] bit for bit only
@@ -109,6 +128,14 @@ val pack : layer -> packed
 
 val packed_layer : packed -> layer
 (** The underlying layer (scales, bias, config). *)
+
+val paired : packed -> bool
+(** Whether {!pack}'s range proof held, so the dense taps run two int
+    products per machine word ([Microkernel.gemm_i32_pair]). *)
+
+val acc_bits : packed -> int
+(** Worst-case signed bits of any per-tap accumulator, from {!pack}'s
+    range proof ([1] for all-zero weights). *)
 
 val tap_densities : packed -> float array
 (** Measured per-tap nonzero fraction of the packed weight panel

@@ -236,7 +236,22 @@ let start ?(config = default_config) ~model ~input_dims () =
    Model.warm m ~input_dims
      ~batch_sizes:(List.init config.max_batch (fun i -> i + 1));
    t.warmed <- Some m);
-  t.domains <- List.init config.workers (fun _ -> Domain.spawn (worker t));
+  (* The OCaml 5.1 runtime can keep a domain's start closure reachable
+     for a moment after [Domain.join] has returned.  A closure holding
+     [t] then often makes a [Gc.full_major] right after [shutdown] leave
+     the server and its model in the heap (freed a cycle later), so a
+     cold start right after a shutdown holds two models.  Each worker
+     gets [t] through a cell it empties as it starts, so the start
+     closure holds nothing. *)
+  t.domains <-
+    List.init config.workers (fun _ ->
+        let cell = ref (Some t) in
+        Domain.spawn (fun () ->
+            match !cell with
+            | Some t ->
+                cell := None;
+                worker t ()
+            | None -> ()));
   t
 
 let for_model ?config model ~input_dims () =

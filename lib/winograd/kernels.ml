@@ -573,7 +573,9 @@ type ('a, 'g) gather =
   'a array -> int -> int -> 'g array -> 'g array -> 'g array -> int -> int ->
   int -> unit
 
-type 'a weights = Packed of 'a array | Filters of 'a array
+type 'a weights =
+  | Filters of 'a array
+  | Gemm of (int -> int -> 'a array -> int -> 'a array -> int -> unit)
 
 (* Weights are NR-packed —
    [u.(p·cin·cout_p + ((jb·cin + ci)·nr + jr))] with [co = jb·nr+jr] and
@@ -595,13 +597,6 @@ let pack_into la ~panels ~cin ~cout u put =
       done
     done
   done
-
-let pack_weights la ~panels ~cin ~cout src =
-  let cout_p = Microkernel.round_up cout (Microkernel.config ()).nr in
-  let u = Array.make (panels * cin * cout_p) la.zero in
-  pack_into la ~panels ~cin ~cout u (fun co ci dst base stride ->
-      la.copy panels src (((co * cin) + ci) * panels) 1 dst base stride);
-  u
 
 (* Tiles per block: big enough that each panel GEMM runs over a panel,
    small enough to keep all domains busy.  Per-tile results do not depend
@@ -627,16 +622,16 @@ let block_of ~total =
    All staging lives in the lanes' per-domain arenas: the loop allocates
    nothing per tile. *)
 let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~scatter
-    ?gemm ~gather () =
+    ~gather () =
   let t = k.tile and m = k.mout in
   let r = t - m + 1 and tt = t * t in
   let ho, wo = Shape.conv2d_out ~h ~w ~kh:r ~kw:r ~stride:1 ~pad in
   let { Microkernel.mr; nr; kc } = Microkernel.config () in
   let cout_p = Microkernel.round_up cout nr in
   let ucincp = cin * cout_p in
-  let u =
+  let gemm =
     match weights with
-    | Packed u -> u
+    | Gemm g -> g
     | Filters f ->
         (* Transformed once per call, through the scatter hook, into a
            panel every weight worker writes. *)
@@ -648,12 +643,6 @@ let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~scatter
             Array.blit f (((co * cin) + ci) * r * r) g 0 (r * r);
             k.weight g 0 wt 0 tmp;
             scatter wt dst base stride);
-        u
-  in
-  let gemm =
-    match gemm with
-    | Some g -> g
-    | None ->
         fun p rows_p v vo c co ->
           la.gemm ~mr ~nr ~kc ~rows_p ~cols_p:cout_p ~k:cin ~vp:v ~vo ~up:u
             ~uo:(p * ucincp) ~c ~co ~cstride:cout_p

@@ -137,17 +137,16 @@ type ('a, 'g) gather =
     [(co, dy, dx)] is at [obase + (co·ho + dy)·wo + dx]. *)
 
 type 'a weights =
-  | Packed of 'a array  (** panels from {!pack_weights} *)
   | Filters of 'a array
       (** [\[cout; cin; r; r\]] spatial filters, transformed by the
           kernel's [weight] and packed through the scatter hook on every
-          call, into a per-domain arena *)
-
-val pack_weights :
-  'a lane -> panels:int -> cin:int -> cout:int -> 'a array -> 'a array
-(** [pack_weights lane ~panels ~cin ~cout src] NR-packs [src], which
-    holds [panels] values per (cout, cin) filter ([\[cout; cin; panels\]]
-    row-major), into a fresh panel for {!Packed}; pad lanes are zero. *)
+          call, into a per-domain arena; the per-panel GEMMs are [lane]'s
+          dense GEMM against that panel *)
+  | Gemm of (int -> int -> 'a array -> int -> 'a array -> int -> unit)
+      (** the caller's own per-panel GEMM over weights it packed itself:
+          [gemm p rows_p v vo mo co] runs panel [p] (A panel at
+          [v.(vo)], C at [mo.(co)], row stride
+          [cout_p = round_up cout nr]) *)
 
 val tap_major :
   'a lane ->
@@ -163,7 +162,6 @@ val tap_major :
   cout:int ->
   weights:'a weights ->
   scatter:'a put ->
-  ?gemm:(int -> int -> 'a array -> int -> 'a array -> int -> unit) ->
   gather:('a, 'g) gather ->
   unit ->
   unit
@@ -174,9 +172,7 @@ val tap_major :
     [k.input] and scattered into [panels] MR-packed panels of [lane];
     one GEMM per panel accumulates into a [tiles × cout_p] slab; and
     [gather] turns each tile's slab rows into outputs, using [glane]'s
-    scratch.  [gemm p rows_p v vo mo co] runs panel [p] (A panel at
-    [v.(vo)], C at [mo.(co)], row stride [cout_p = round_up cout nr]);
-    by default it is [lane]'s dense GEMM against the packed weights.
+    scratch.  [weights] supplies the per-panel GEMMs (see {!weights}).
     Results do not depend on the block size or the domain count. *)
 
 val conv2d_f32 :

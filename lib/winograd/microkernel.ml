@@ -5,7 +5,8 @@
    Winograd tap (or, under RNS, every (modulus, tap)) to one
    [tiles × Cin] · [Cin × Cout] product.  This module supplies the inner
    engine for those products: one fixed 4×4 accumulator-block kernel
-   (float and int) over *packed* operand panels, plus a KC-blocked
+   (float, int, and int with two products per word) over *packed*
+   operand panels, plus a KC-blocked
    driver that keeps one [KC × NR] weight panel L1-resident while it
    sweeps the tile panels — the same work-group tiling shape as a GPU
    Winograd kernel's per-work-group [tiles × Cout] block.
@@ -20,6 +21,10 @@
      element (k, lane) of panel jb at [jb·K·NR + k·NR + lane], so the
      co-loop streams contiguously instead of striding across a whole
      [Cout] row per k step.
+   - Paired B panels: the B layout with each pair of adjacent lanes
+     folded into one int, [lane 2p + (lane 2p+1) lsl 32] — element
+     (k, p) of panel jb at [jb·K·NR/2 + k·NR/2 + p].  Only for operands
+     whose sums are proven to fit 31 bits (see [gemm_i32_pair]).
    - C: row-major [rows_p × cstride] with [cstride ≥ cols_p]; the
      MR×NR block at (ib·MR, jb·NR) is updated in place.
 
@@ -209,6 +214,67 @@ let ki_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
   Array.unsafe_set c (o3 + 2) !c32;
   Array.unsafe_set c (o3 + 3) !c33
 
+(* Paired lanes: two int products per machine word.  Each B int holds
+   the weights of two adjacent output columns, [lo + hi lsl 32] (see
+   [pair_panel]), so one multiply [a · (lo + hi·2^32)] computes both
+   products and one add accumulates both sums.  OCaml ints wrap mod
+   2^63, so the packed accumulator always equals [lo_sum + hi_sum·2^32]
+   mod 2^63; when [lo_sum] fits 32 signed bits and [hi_sum] 31, the
+   split in [store_pair] recovers both exactly.  C is packed on load
+   and split on store, so the KC-panel seam works like the wide
+   kernel's as long as every stored partial is in range. *)
+
+let load_pair (c : int array) o =
+  Array.unsafe_get c o + (Array.unsafe_get c (o + 1) lsl 32)
+
+(* [lo] is the low 32 bits sign-extended; [x − lo] is then exactly
+   [hi·2^32]. *)
+let store_pair (c : int array) o x =
+  let lo = (x lsl 31) asr 31 in
+  Array.unsafe_set c o lo;
+  Array.unsafe_set c (o + 1) ((x - lo) asr 32)
+
+(* [kp_4x4 v vo u uo kn c o0 cs]: the 4×4 block update of [ki_4x4] with
+   B paired — [uo] points at the k=0 pair of a [K × NR/2] panel, and
+   each k step is 8 multiply-adds into 8 packed accumulators instead of
+   16 into 16. *)
+let kp_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
+  let o1 = o0 + cs in
+  let o2 = o1 + cs in
+  let o3 = o2 + cs in
+  let c00 = ref (load_pair c o0)
+  and c01 = ref (load_pair c (o0 + 2))
+  and c10 = ref (load_pair c o1)
+  and c11 = ref (load_pair c (o1 + 2))
+  and c20 = ref (load_pair c o2)
+  and c21 = ref (load_pair c (o2 + 2))
+  and c30 = ref (load_pair c o3)
+  and c31 = ref (load_pair c (o3 + 2)) in
+  for k = 0 to kn - 1 do
+    let a = vo + (k * 4) and b = uo + (k * 2) in
+    let a0 = Array.unsafe_get v a
+    and a1 = Array.unsafe_get v (a + 1)
+    and a2 = Array.unsafe_get v (a + 2)
+    and a3 = Array.unsafe_get v (a + 3) in
+    let b0 = Array.unsafe_get u b and b1 = Array.unsafe_get u (b + 1) in
+    c00 := !c00 + (a0 * b0);
+    c01 := !c01 + (a0 * b1);
+    c10 := !c10 + (a1 * b0);
+    c11 := !c11 + (a1 * b1);
+    c20 := !c20 + (a2 * b0);
+    c21 := !c21 + (a2 * b1);
+    c30 := !c30 + (a3 * b0);
+    c31 := !c31 + (a3 * b1)
+  done;
+  store_pair c o0 !c00;
+  store_pair c (o0 + 2) !c01;
+  store_pair c o1 !c10;
+  store_pair c (o1 + 2) !c11;
+  store_pair c o2 !c20;
+  store_pair c (o2 + 2) !c21;
+  store_pair c o3 !c30;
+  store_pair c (o3 + 2) !c31
+
 (* ------------------------------------------------------ blocked driver *)
 
 (* [gemm ~mr ~nr ~kc ~rows_p ~cols_p ~k ...] updates the [rows_p × cols_p]
@@ -251,6 +317,36 @@ let gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : int array) ~vo
       for ib = 0 to nib - 1 do
         let vb = vo + (ib * k * 4) + (!k0 * 4) in
         ki_4x4 vp vb up ub kn c (cjb + (ib * 4 * cstride)) cstride
+      done
+    done;
+    k0 := !k0 + kn
+  done
+
+(* Every C value and every stored partial must fit this many signed
+   bits: the [hi] lane is 31 bits (and the [lo] lane 32). *)
+let pair_acc_bits = 31
+
+let pair_panel (src : int array) ~so ~n (dst : int array) ~doff =
+  for i = 0 to (n / 2) - 1 do
+    dst.(doff + i) <- src.(so + (2 * i)) + (src.(so + (2 * i) + 1) lsl 32)
+  done
+
+(* [gemm_i32]'s driver over a paired B panel: panel jb is [K × NR/2]
+   ints, so its k0 offset is [k0·2]. *)
+let gemm_i32_pair ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : int array) ~vo
+    ~(up : int array) ~uo ~(c : int array) ~co ~cstride =
+  check_block "gemm_i32_pair" "mr" mr block.mr;
+  check_block "gemm_i32_pair" "nr" nr block.nr;
+  let nib = rows_p / 4 and njb = cols_p / 4 in
+  let k0 = ref 0 in
+  while !k0 < k do
+    let kn = min kc (k - !k0) in
+    for jb = 0 to njb - 1 do
+      let ub = uo + (jb * k * 2) + (!k0 * 2) in
+      let cjb = co + (jb * 4) in
+      for ib = 0 to nib - 1 do
+        let vb = vo + (ib * k * 4) + (!k0 * 4) in
+        kp_4x4 vp vb up ub kn c (cjb + (ib * 4 * cstride)) cstride
       done
     done;
     k0 := !k0 + kn

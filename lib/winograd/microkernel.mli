@@ -2,10 +2,12 @@
     Winograd GEMMs.
 
     One fixed register block — MR = NR = 4, KC = 256 (see {!config}) —
-    with one dense float kernel, one dense int kernel and one sparse int
-    kernel. The drivers raise [Invalid_argument] naming the offending
-    value when handed any other [mr]/[nr]; [kc] is a real parameter
-    (the KC-panel fold works for any depth).
+    with one dense float kernel, two dense int kernels (one product per
+    word, {!gemm_i32}, and two products per word, {!gemm_i32_pair}, for
+    operands proven to fit) and one sparse int kernel. The drivers
+    raise [Invalid_argument] naming the offending value when handed any
+    other [mr]/[nr]; [kc] is a real parameter (the KC-panel fold works
+    for any depth).
 
     Operands are *packed* panels, padded to full register blocks:
 
@@ -87,6 +89,47 @@ val gemm_i32 :
   unit
 (** Integer variant of {!gemm_f32}; exact arithmetic, bit-identical to
     the naive ascending-[k] triple loop. *)
+
+(** {1 Paired lanes: two int products per word}
+
+    A paired B panel holds two adjacent output columns per int:
+    [lo + hi lsl 32], where [lo] is column [2p] and [hi] column [2p+1]
+    of the wide panel. Element [(k, p)] of panel [jb] lives at
+    [jb·K·NR/2 + k·NR/2 + p], so one multiply by an A value computes
+    both products and one add accumulates both. *)
+
+val pair_acc_bits : int
+(** [31]: {!gemm_i32_pair} is exact when every initial C value and
+    every partial sum [C + Σ_{k' ≤ k} A·B] fits this many signed bits,
+    i.e. lies in [\[-2^30, 2^30)]. *)
+
+val pair_panel : int array -> so:int -> n:int -> int array -> doff:int -> unit
+(** [pair_panel src ~so ~n dst ~doff] folds the [n] (even) ints of the
+    NR-packed B panel at [src.(so)] into the [n/2] paired ints at
+    [dst.(doff)]: [dst.(doff+i) = src.(so+2i) + src.(so+2i+1) lsl 32]. *)
+
+val gemm_i32_pair :
+  mr:int ->
+  nr:int ->
+  kc:int ->
+  rows_p:int ->
+  cols_p:int ->
+  k:int ->
+  vp:int array ->
+  vo:int ->
+  up:int array ->
+  uo:int ->
+  c:int array ->
+  co:int ->
+  cstride:int ->
+  unit
+(** {!gemm_i32} over a paired B panel at [up+uo] (from {!pair_panel});
+    A and C keep their layouts. C values are packed on load and split
+    exactly on store ([lo = (x lsl 31) asr 31], [hi = (x − lo) asr 32]),
+    so within {!pair_acc_bits} the result is bit-identical to
+    {!gemm_i32} on the wide panel. Outside it the result is wrong:
+    callers must prove the bound first. Raises [Invalid_argument] unless
+    [mr] and [nr] match {!config}. *)
 
 (** {1 Compressed panels for pruned taps}
 

@@ -528,6 +528,12 @@ let test_micro_block_rejected () =
       expect "gemm_i32" "nr" v (fun () ->
           Microkernel.gemm_i32 ~mr:4 ~nr:v ~kc:256 ~rows_p:0 ~cols_p:0 ~k:0
             ~vp:zi ~vo:0 ~up:zi ~uo:0 ~c:zi ~co:0 ~cstride:0);
+      expect "gemm_i32_pair" "mr" v (fun () ->
+          Microkernel.gemm_i32_pair ~mr:v ~nr:4 ~kc:256 ~rows_p:0 ~cols_p:0
+            ~k:0 ~vp:zi ~vo:0 ~up:zi ~uo:0 ~c:zi ~co:0 ~cstride:0);
+      expect "gemm_i32_pair" "nr" v (fun () ->
+          Microkernel.gemm_i32_pair ~mr:4 ~nr:v ~kc:256 ~rows_p:0 ~cols_p:0
+            ~k:0 ~vp:zi ~vo:0 ~up:zi ~uo:0 ~c:zi ~co:0 ~cstride:0);
       expect "gemm_i32_sparse" "mr" v (fun () ->
           Microkernel.gemm_i32_sparse ~mr:v ~rows_p:0 ~sp ~vp:zi ~vo:0 ~c:zi
             ~co:0 ~cstride:0))
@@ -587,6 +593,183 @@ let prop_sparse_gemm =
       Microkernel.gemm_i32_sparse ~mr ~rows_p ~sp ~vp ~vo:0 ~c:cs ~co:0
         ~cstride;
       cd = cs)
+
+(* ------------------------- paired-lane GEMM vs the one-product driver *)
+
+(* Driver-level bit-identity at the edge of the pairing bound.  Every C
+   value and every prefix sum stays inside ±(2^30 − 1), and the first
+   min(rows, cols) diagonal entries reach it exactly: their A row is
+   ±M·sign(B column) and their initial C the rest of the budget, with
+   the sign flipping every two columns so both lanes see both rails.  k is odd or even,
+   kc is either small (many KC seams) or the production 256 with
+   k > 256, and pad rows and lanes are zero. *)
+let pair_max = (1 lsl 30) - 1
+let rail_sign i = if (i lsr 1) land 1 = 0 then 1 else -1
+
+let prop_pair_gemm =
+  QCheck2.Test.make ~count:100
+    ~name:"gemm_i32_pair = gemm_i32 with lane sums at ±(2^30−1)"
+    QCheck2.Gen.(
+      tup4 (int_range 1 150) bool (pair (int_range 1 13) (int_range 1 13))
+        seed_gen)
+    (fun (k, big_k, (rows, cols), seed) ->
+      let rng = Twq_util.Rng.create seed in
+      let { Microkernel.mr; nr; _ } = Microkernel.config () in
+      let k, kc = if big_k then (256 + k, 256) else (k, 8 + Twq_util.Rng.int rng 57) in
+      let rows_p = Microkernel.round_up rows mr in
+      let cols_p = Microkernel.round_up cols nr in
+      let cstride = cols_p + Twq_util.Rng.int rng 4 in
+      let m = 1 + Twq_util.Rng.int rng (1 lsl 16) in
+      let bmax = max 1 (pair_max / (m * k)) in
+      let up = Array.make (cols_p * k) 0 in
+      let colsum = Array.make cols_p 0 in
+      for j = 0 to cols - 1 do
+        for kk = 0 to k - 1 do
+          let b = Twq_util.Rng.int rng ((2 * bmax) + 1) - bmax in
+          up.((((j / nr * k) + kk) * nr) + (j mod nr)) <- b;
+          colsum.(j) <- colsum.(j) + abs b
+        done
+      done;
+      let b_at kk j = up.((((j / nr * k) + kk) * nr) + (j mod nr)) in
+      let vp = Array.make (rows_p * k) 0 in
+      let c = Array.make (rows_p * cstride) 0 in
+      for i = 0 to rows - 1 do
+        for kk = 0 to k - 1 do
+          vp.((((i / mr * k) + kk) * mr) + (i mod mr)) <-
+            (if i < cols then
+               if b_at kk i < 0 then -rail_sign i * m else rail_sign i * m
+             else Twq_util.Rng.int rng ((2 * m) + 1) - m)
+        done
+      done;
+      for i = 0 to rows_p - 1 do
+        for j = 0 to cols_p - 1 do
+          let room = pair_max - (m * colsum.(j)) in
+          c.((i * cstride) + j) <-
+            (if i = j && i < rows then rail_sign i * room
+             else Twq_util.Rng.int rng ((2 * room) + 1) - room)
+        done
+      done;
+      let up_pair = Array.make (cols_p * k / 2) 0 in
+      Microkernel.pair_panel up ~so:0 ~n:(cols_p * k) up_pair ~doff:0;
+      let want = Array.copy c and got = Array.copy c in
+      Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp ~vo:0 ~up ~uo:0
+        ~c:want ~co:0 ~cstride;
+      Microkernel.gemm_i32_pair ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp ~vo:0
+        ~up:up_pair ~uo:0 ~c:got ~co:0 ~cstride;
+      let rails_hit = ref true in
+      for i = 0 to min rows cols - 1 do
+        if want.((i * cstride) + i) <> rail_sign i * pair_max then
+          rails_hit := false
+      done;
+      !rails_hit && got = want)
+
+(* Layer-level: the range proof chooses the kernel.  At wino_bits = 20
+   the scatter clamps activations to |a| ≤ 2^19, so the proof holds iff
+   max over (tap, co) of Σ_ci |wq| < 2^11.  One output channel (a [hi]
+   lane, co = 1) carries exactly 2^11 − 1 in every tap (positive) and
+   channel 2 its negative; the over-bound layer adds one unit.  Tap
+   scales 2^-12·s_x saturate most activations, so accumulators come
+   within 2^19·2^11 of the bound, and s_y is the smallest power of two
+   at which fewer than 2% of the oracle's outputs saturate, so a wrong
+   accumulator shows. *)
+let pair_bound_layer ~over =
+  let rng = Twq_util.Rng.create 2024 in
+  let cin = 16 and cout = 6 in
+  let w = Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.5 in
+  let samples = [ tensor_of_rng rng [| 1; cin; 8; 8 |] ] in
+  let config =
+    { (Tapwise.default_config Transform.F4) with Tapwise.wino_bits = 20 }
+  in
+  let l = Tapwise.calibrate ~config ~w ~sample_inputs:samples ~pad:1 () in
+  let wq =
+    Itensor.init [| cout; cin; 6; 6 |] (fun idx ->
+        let co = idx.(0) and ci = idx.(1) in
+        let edge = if ci = cin - 1 then if over then 128 else 127 else 128 in
+        if co = 1 then edge
+        else if co = 2 then -edge
+        else Twq_util.Rng.int rng 255 - 127)
+  in
+  let s_b = Array.make_matrix 6 6 (l.Tapwise.s_x /. 4096.0) in
+  let l = { l with Tapwise.wq; s_b } in
+  let x = tensor_of_rng rng [| 2; cin; 8; 8 |] in
+  let xi = Quantizer.quantize_tensor ~bits:8 ~scale:l.Tapwise.s_x x in
+  let saturated l =
+    let y = Tapwise.forward_int_ref l xi in
+    let n = Array.length y.Itensor.data in
+    let sat =
+      Array.fold_left
+        (fun a v -> if v >= 127 || v <= -128 then a + 1 else a)
+        0 y.Itensor.data
+    in
+    float_of_int sat > 0.02 *. float_of_int n
+  in
+  let rec fit l =
+    if saturated l then fit { l with Tapwise.s_y = l.Tapwise.s_y *. 2.0 } else l
+  in
+  (fit { l with Tapwise.s_y = Float.ldexp 1.0 (-80) }, xi)
+
+let test_pair_bound () =
+  List.iter
+    (fun (over, paired, bits) ->
+      let l, xi = pair_bound_layer ~over in
+      let p = Tapwise.pack l in
+      let name = if over then "just over" else "just under" in
+      Alcotest.(check bool) (name ^ ": paired") paired (Tapwise.paired p);
+      Alcotest.(check int) (name ^ ": acc_bits") bits (Tapwise.acc_bits p);
+      let want = Tapwise.forward_int_ref l xi in
+      Alcotest.(check bool) (name ^ ": nonzero outputs") true
+        (Array.exists (fun v -> v <> 0) want.Itensor.data);
+      let got = Itensor.zeros want.Itensor.shape in
+      Tapwise.forward_int_into p xi ~out:got;
+      Alcotest.(check bool) (name ^ ": = forward_int_ref") true
+        (Itensor.equal got want))
+    [ (false, true, 31); (true, false, 32) ];
+  (* Serialize does not bound wq, so the proof must not wrap: two
+     weights of 2^61 in one column sum to 2^62, which is min_int in a
+     63-bit int. *)
+  let l, _ = pair_bound_layer ~over:false in
+  let wq = Itensor.copy l.Tapwise.wq in
+  Itensor.set4 wq 0 0 0 0 (1 lsl 61);
+  Itensor.set4 wq 0 1 0 0 (1 lsl 61);
+  Alcotest.(check bool) "huge weights: not paired" false
+    (Tapwise.paired (Tapwise.pack { l with Tapwise.wq }))
+
+(* Tap requant shifts past the word: OCaml's [asr 64] leaves its operand
+   unchanged and [lsl 63] zeroes it, so an uncapped tap shift of +64
+   passed the tap through unscaled and −63 zeroed a tap that must
+   saturate.  Capped, +64 rounds every tap value to 0 like +40, and −63
+   saturates like −wino_bits; the −63 layer's s_g is raised by 2^55 so
+   both layers share s_b·s_g and differ only in the shift. *)
+let test_tap_shift_beyond_word () =
+  let rng = Twq_util.Rng.create 77 in
+  let cin = 3 and cout = 4 in
+  let w = Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.5 in
+  let samples = [ tensor_of_rng rng [| 1; cin; 8; 8 |] ] in
+  let config = Tapwise.default_config Transform.F4 in
+  let l = Tapwise.calibrate ~config ~w ~sample_inputs:samples ~pad:1 () in
+  let xi =
+    Quantizer.quantize_tensor ~bits:8 ~scale:l.Tapwise.s_x
+      (tensor_of_rng rng [| 2; cin; 8; 8 |])
+  in
+  let with_tap_shift k ~g_exp =
+    let s_b = Array.map Array.copy l.Tapwise.s_b
+    and s_g = Array.map Array.copy l.Tapwise.s_g in
+    s_b.(1).(1) <- Float.ldexp l.Tapwise.s_x k;
+    s_g.(1).(1) <- Float.ldexp s_g.(1).(1) g_exp;
+    { l with Tapwise.s_b; s_g }
+  in
+  let wb = config.Tapwise.wino_bits in
+  List.iter
+    (fun (name, (k, g), (k', g')) ->
+      let a = with_tap_shift k ~g_exp:g and b = with_tap_shift k' ~g_exp:g' in
+      let want = Tapwise.forward_int_ref b xi in
+      Alcotest.(check bool) (name ^ ": oracle") true
+        (Itensor.equal (Tapwise.forward_int_ref a xi) want);
+      Alcotest.(check bool) (name ^ ": forward_int") true
+        (Itensor.equal (Tapwise.forward_int a xi) want);
+      Alcotest.(check bool) (name ^ ": forward_int control") true
+        (Itensor.equal (Tapwise.forward_int b xi) want))
+    [ ("+64 = +40", (64, -24), (40, 0)); ("-63 = -wino_bits", (-63, 63 - wb), (-wb, 0)) ]
 
 (* Layer-level bit-identity: prune a calibrated layer in the Winograd
    domain, then the sparse-selected forward (any threshold, 1 or 4
@@ -706,6 +889,7 @@ let () =
         prop_micro_int_edge;
         prop_gemm_drivers;
         prop_sparse_gemm;
+        prop_pair_gemm;
         prop_tapwise_sparse;
         prop_qconv_packed;
         prop_qconv_store_ties;
@@ -722,6 +906,10 @@ let () =
             test_micro_cin_over_kc_tapwise;
           Alcotest.test_case "other register blocks rejected" `Quick
             test_micro_block_rejected;
+          Alcotest.test_case "range proof picks paired or wide" `Quick
+            test_pair_bound;
+          Alcotest.test_case "tap shifts beyond the word" `Quick
+            test_tap_shift_beyond_word;
         ] );
       ( "sparse",
         [

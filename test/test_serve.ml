@@ -205,6 +205,35 @@ let test_shutdown_drains () =
       | o -> Alcotest.failf "request %d: %s after drain" i (Server.outcome_label o))
     tickets
 
+let test_shutdown_releases_server () =
+  (* Once [shutdown] returns, nothing keeps the server reachable, so one
+     full major GC frees it, every time: a cold start right after a
+     shutdown never holds two models.  An 8 MB ballast behind the model
+     closure makes a server that outlives its shutdown show in the heap;
+     it comes in 1024 pieces, like a model's tensors (a single 8 MB block
+     did not show a server kept alive by its worker domain's start
+     closure). *)
+  let heap_mb () =
+    float_of_int (Gc.quick_stat ()).Gc.heap_words *. 8. /. 1048576.
+  in
+  Gc.full_major ();
+  let base = heap_mb () in
+  for round = 1 to 10 do
+    (let ballast = Array.init 1024 (fun _ -> Array.make 1024 round) in
+     let model () =
+       ignore (Sys.opaque_identity ballast);
+       the_model
+     in
+     Server.shutdown (Server.start ~model ~input_dims:the_dims ()));
+    Gc.full_major ();
+    let h = heap_mb () in
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d: heap %.1f MB within 4 MB of %.1f MB" round h
+         base)
+      true
+      (h < base +. 4.)
+  done
+
 let test_loadgen_closed_loop () =
   let server = Server.for_model the_model ~input_dims:the_dims () in
   let s =
@@ -653,6 +682,8 @@ let () =
           Alcotest.test_case "invalid shape + closed" `Quick
             test_invalid_shape_and_closed;
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
+          Alcotest.test_case "shutdown releases the server" `Quick
+            test_shutdown_releases_server;
           Alcotest.test_case "loadgen closed loop" `Quick
             test_loadgen_closed_loop;
           Alcotest.test_case "steady state keeps the heap flat" `Quick
