@@ -343,11 +343,13 @@ let serve_episode ~max_batch () =
 (* ------------------------ planned vs interpreted integer inference *)
 
 let serve_graph =
-  match serve_model with Serve.Model.Graph g -> g | Serve.Model.Net _ -> assert false
+  match serve_model with Serve.Model.Graph g | Serve.Model.Net g -> g
 
 let plan_input =
   Tensor.rand_gaussian (Twq.Rng.create 31) [| 4; 3; 8; 8 |] ~mu:0.0 ~sigma:1.0
 
+(* The VGG-mini chain [Deploy.export] builds; the deploy-forward-* rows
+   time its plan and its interpreter. *)
 let deploy_net =
   let model =
     Twq.Nn.Qat_model.create
@@ -502,9 +504,9 @@ let kernels : (string * (unit -> unit)) list =
       ( "intgraph-resnet20-interp",
         fun () -> ignore (Twq.Nn.Int_graph.run_ref serve_graph plan_input) );
       ( "deploy-forward-planned",
-        fun () -> ignore (Twq.Nn.Deploy.forward deploy_net deploy_input) );
+        fun () -> ignore (Twq.Nn.Int_graph.run deploy_net deploy_input) );
       ( "deploy-forward-interp",
-        fun () -> ignore (Twq.Nn.Deploy.forward_ref deploy_net deploy_input) );
+        fun () -> ignore (Twq.Nn.Int_graph.run_ref deploy_net deploy_input) );
     ]
   (* Sparse-vs-dense execution of pruned weights, at the per-tap GEMM
      and at the end-to-end pruned-ResNet-20 level, at 30% and 50%

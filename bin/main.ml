@@ -464,13 +464,8 @@ let prune_cmd =
               (Serve.Registry.lookup ?version:from_version reg src)
           in
           match entry.Serve.Registry.model with
-          | Serve.Model.Graph ig -> (ig, entry.Serve.Registry.input_dims)
-          | Serve.Model.Net _ ->
-              Printf.eprintf
-                "prune: %s is a float net artifact; only integer graphs \
-                 carry Winograd-domain weights\n"
-                src;
-              exit 2)
+          | Serve.Model.Graph ig | Serve.Model.Net ig ->
+              (ig, entry.Serve.Registry.input_dims))
       | None ->
           ( build_graph_model ~arch ~res ~width_div ~classes ~seed,
             [| 3; res; res |] )

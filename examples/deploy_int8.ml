@@ -5,7 +5,7 @@
    Winograd-domain rescaling by shifts) and compares the integer network's
    accuracy to the fake-quant training-time model — the complete flow a
    user of the paper's accelerator would run.  Finally, prunes the deployed
-   Winograd-domain weights to show the compression hook.
+   graph's Winograd-domain weights to show the compression hook.
 
    Run with: dune exec examples/deploy_int8.exe *)
 
@@ -14,6 +14,7 @@ module Synth = Dataset.Synth_images
 module Qat = Nn.Qat_model
 module Trainer = Nn.Trainer
 module Deploy = Nn.Deploy
+module Int_graph = Nn.Int_graph
 
 let () =
   let spec =
@@ -35,9 +36,9 @@ let () =
   Printf.printf "folding batch norms and exporting to integer layers...\n%!";
   let calibration, _ = Synth.batch data data.Synth.train (Array.init 32 Fun.id) in
   let net = Deploy.export model ~calibration () in
-  let int_acc = Deploy.accuracy net data.Synth.test in
+  let int_acc = Int_graph.accuracy net data.Synth.test in
   Printf.printf "  integer-only network: %d Tapwise conv layers\n"
-    (List.length (Deploy.layers net));
+    (Int_graph.winograd_layer_count net);
   Printf.printf "  integer-only test accuracy: %.1f%% (gap %.1f%%)\n\n"
     (100.0 *. int_acc)
     (100.0 *. (fq_acc -. int_acc));
@@ -48,15 +49,15 @@ let () =
       Printf.printf "  layer %d: s_x = %.5f, s_y = %.5f, %d winograd weights\n" i
         l.Quant.Tapwise.s_x l.Quant.Tapwise.s_y
         (Itensor.numel l.Quant.Tapwise.wq))
-    (Deploy.layers net);
+    (Int_graph.wino_layers net);
 
   print_endline "\npruning the deployed Winograd-domain weights (density 60%):";
-  let pruned_layers =
-    List.map (fun l -> Pruning.prune_layer l ~density:0.6) (Deploy.layers net)
-  in
+  let pruned = Int_graph.prune net ~density:0.6 in
   List.iteri
     (fun i l ->
       Printf.printf "  layer %d: %.0f%% of winograd MACs remain\n" i
         (100.0 *. Pruning.effective_macs_fraction l))
-    pruned_layers;
+    (Int_graph.wino_layers pruned);
+  Printf.printf "  pruned integer-only test accuracy: %.1f%%\n"
+    (100.0 *. Int_graph.accuracy pruned data.Synth.test);
   print_endline "\nDone."

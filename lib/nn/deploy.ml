@@ -1,62 +1,7 @@
 module Tensor = Twq_tensor.Tensor
-module Itensor = Twq_tensor.Itensor
 module Ops = Twq_tensor.Ops
 module Transform = Twq_winograd.Transform
 module Tapwise = Twq_quant.Tapwise
-module Quantizer = Twq_quant.Quantizer
-module Synth = Twq_dataset.Synth_images
-
-type op =
-  | Conv of Tapwise.layer
-  | Relu
-  | Avg_pool2  (* 2×2, stride 2, int round-shift by 2 *)
-
-type t = {
-  ops : op list;
-  input_scale : float;
-  output_scale : float;  (* s_y of the last conv (relu/pool preserve it) *)
-  fc_w : Tensor.t;
-  fc_b : Tensor.t;
-  plans : Plan.cache;
-}
-
-(* Lower the op pipeline to the planner IR once at export/load time:
-   quantize → convs/relus/pools in a chain → float head. *)
-let lower ~ops ~input_scale ~output_scale ~fc_w ~fc_b =
-  let n_ops = List.length ops in
-  let pnodes =
-    Array.make (n_ops + 2)
-      { Plan.prim = Plan.P_quantize input_scale; args = [] }
-  in
-  List.iteri
-    (fun i op ->
-      let prim =
-        match op with
-        | Conv l -> Plan.P_wino (Tapwise.pack l)
-        | Relu -> Plan.P_relu
-        | Avg_pool2 -> Plan.P_avg_pool2
-      in
-      pnodes.(i + 1) <- { Plan.prim; args = [ i ] })
-    ops;
-  pnodes.(n_ops + 1) <-
-    {
-      Plan.prim =
-        Plan.P_head { w = fc_w; bias = Some fc_b; in_scale = output_scale };
-      args = [ n_ops ];
-    };
-  Plan.cache { Plan.pnodes; out = n_ops + 1 }
-
-let make ~ops ~input_scale ~output_scale ~fc_w ~fc_b =
-  {
-    ops;
-    input_scale;
-    output_scale;
-    fc_w;
-    fc_b;
-    plans = lower ~ops ~input_scale ~output_scale ~fc_w ~fc_b;
-  }
-
-let plans t = t.plans
 
 (* Fold batch-norm statistics (from the calibration activations) into the
    conv weights and bias: y = γ(conv(x) − μ)/σ + β. *)
@@ -93,20 +38,6 @@ let fold_bn ~w ~gamma ~beta ~y_cal =
   done;
   (w', bias, !max_scale)
 
-let int_relu = Itensor.map (fun v -> Stdlib.max 0 v)
-
-let int_avg_pool2 x =
-  let n = Itensor.dim x 0 and c = Itensor.dim x 1 in
-  let h = Itensor.dim x 2 and w = Itensor.dim x 3 in
-  Itensor.init [| n; c; h / 2; w / 2 |] (fun idx ->
-      let s = ref 0 in
-      for di = 0 to 1 do
-        for dj = 0 to 1 do
-          s := !s + Itensor.get4 x idx.(0) idx.(1) ((2 * idx.(2)) + di) ((2 * idx.(3)) + dj)
-        done
-      done;
-      Itensor.round_shift !s 2)
-
 let float_avg_pool2 = Ops.avg_pool2d ~k:2 ~stride:2
 
 let export model ~calibration ?(variant = Transform.F4) ?(wino_bits = 8) () =
@@ -124,9 +55,8 @@ let export model ~calibration ?(variant = Transform.F4) ?(wino_bits = 8) () =
   in
   let x_cal = ref calibration in
   let prev_scale = ref None in
-  let ops = ref [] in
+  let links = ref [] in
   let input_scale = ref 0.0 in
-  let last_out_scale = ref 1.0 in
   List.iteri
     (fun stage_idx _ ->
       for k = 0 to 1 do
@@ -148,95 +78,22 @@ let export model ~calibration ?(variant = Transform.F4) ?(wino_bits = 8) () =
         in
         if !prev_scale = None then input_scale := layer.Tapwise.s_x;
         prev_scale := Some layer.Tapwise.s_y;
-        last_out_scale := layer.Tapwise.s_y;
-        ops := Relu :: Conv layer :: !ops;
+        links := Int_graph.Relu :: Int_graph.Wino layer :: !links;
         x_cal := Ops.relu (Ops.conv2d ~stride:1 ~pad:1 ~x:!x_cal ~w:w' ~b:bias ())
       done;
-      ops := Avg_pool2 :: !ops;
+      links := Int_graph.Avg_pool2 :: !links;
       x_cal := float_avg_pool2 !x_cal)
     stages;
   let fc_w, fc_b = Qat_model.head_params model in
-  make ~ops:(List.rev !ops) ~input_scale:!input_scale
-    ~output_scale:!last_out_scale ~fc_w:(Tensor.copy fc_w)
-    ~fc_b:(Tensor.copy fc_b)
+  Int_graph.chain ~input_scale:!input_scale (List.rev !links)
+    ~w:(Tensor.copy fc_w) ~bias:(Some (Tensor.copy fc_b))
 
-let forward_ref net x =
-  let x_int = ref (Quantizer.quantize_tensor ~bits:8 ~scale:net.input_scale x) in
-  List.iter
-    (fun op ->
-      x_int :=
-        match op with
-        | Conv layer -> Tapwise.forward_int layer !x_int
-        | Relu -> int_relu !x_int
-        | Avg_pool2 -> int_avg_pool2 !x_int)
-    net.ops;
-  (* Only the tiny head runs in float. *)
-  let feat = Quantizer.dequantize_tensor ~scale:net.output_scale !x_int in
-  let pooled = Ops.global_avg_pool feat in
-  Ops.linear ~x:pooled ~w:net.fc_w ~b:net.fc_b ()
-
-let forward net x = Plan.run net.plans x
-
-let accuracy net split =
-  let n = Array.length split in
-  let correct = ref 0 in
-  let batch = 32 in
-  let i = ref 0 in
-  while !i < n do
-    let size = Stdlib.min batch (n - !i) in
-    let channels = Tensor.dim split.(0).Synth.image 0 in
-    let sz = Tensor.dim split.(0).Synth.image 1 in
-    let xb = Tensor.zeros [| size; channels; sz; sz |] in
-    for bi = 0 to size - 1 do
-      let s = split.(!i + bi) in
-      for c = 0 to channels - 1 do
-        for a = 0 to sz - 1 do
-          for b = 0 to sz - 1 do
-            Tensor.set4 xb bi c a b (Tensor.get s.Synth.image [| c; a; b |])
-          done
-        done
-      done
-    done;
-    let out = forward net xb in
-    for bi = 0 to size - 1 do
-      if Ops.argmax_row out bi = split.(!i + bi).Synth.label then incr correct
-    done;
-    i := !i + size
-  done;
-  float_of_int !correct /. float_of_int n
-
-let layers net =
-  List.filter_map (function Conv l -> Some l | Relu | Avg_pool2 -> None) net.ops
-
-(* ------------------------------------------------------------- file I/O *)
+(* ------------------------------------------------ legacy net artifacts *)
 
 module Serialize = Twq_quant.Serialize
 
-let to_string net =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "twq-int8-net v1
-";
-  Buffer.add_string buf
-    (Printf.sprintf "scales %h %h
-" net.input_scale net.output_scale);
-  Serialize.write_tensor buf net.fc_w;
-  Serialize.write_tensor buf net.fc_b;
-  Buffer.add_string buf (Printf.sprintf "ops %d
-" (List.length net.ops));
-  List.iter
-    (fun op ->
-      match op with
-      | Relu -> Buffer.add_string buf "relu
-"
-      | Avg_pool2 -> Buffer.add_string buf "avg-pool2
-"
-      | Conv layer ->
-          Buffer.add_string buf "conv
-";
-          Buffer.add_string buf (Serialize.layer_to_string layer))
-    net.ops;
-  Buffer.contents buf
-
+(* The retired [twq-int8-net v1] format: scales, the float head, then
+   the op chain (conv = an embedded tap-wise layer, relu, avg-pool2). *)
 let of_string s =
   let r = Serialize.reader_of_string s in
   try
@@ -251,32 +108,29 @@ let of_string s =
     let n_ops = Serialize.read_int r in
     if n_ops < 0 || n_ops > String.length s then
       Serialize.parse_fail r "invalid op count";
-    let ops =
+    let links =
       List.init n_ops (fun _ ->
           match Serialize.read_word r with
-          | "relu" -> Relu
-          | "avg-pool2" -> Avg_pool2
+          | "relu" -> Int_graph.Relu
+          | "avg-pool2" -> Int_graph.Avg_pool2
           | "conv" ->
-              (* Re-parse the embedded layer with the shared reader. *)
               Serialize.expect r "tapwise-layer";
               Serialize.expect r "v1";
-              Conv (Serialize.read_layer_body r)
+              Int_graph.Wino (Serialize.read_layer_body r)
           | tag -> Serialize.parse_fail r ("unknown op " ^ tag))
     in
-    make ~ops ~input_scale ~output_scale ~fc_w ~fc_b
+    (* The writer stored the last conv's s_y as the head's scale;
+       [Int_graph.chain] derives it from the links. *)
+    let chained =
+      List.fold_left
+        (fun s -> function Int_graph.Wino l -> l.Tapwise.s_y | _ -> s)
+        input_scale links
+    in
+    if output_scale <> chained then
+      Serialize.parse_fail r
+        (Printf.sprintf "output scale %h is not the last conv's s_y %h"
+           output_scale chained);
+    Int_graph.chain ~input_scale links ~w:fc_w ~bias:(Some fc_b)
   with Serialize.Parse_failure e ->
     failwith ("Deploy.of_string: " ^ Serialize.error_to_string e)
 
-let save net path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string net))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string (really_input_string ic n))

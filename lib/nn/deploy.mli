@@ -15,10 +15,11 @@
       float (its cost is negligible; the paper's accelerator handles it in
       the Vector Unit).
 
+    The result is an ordinary {!Int_graph.t} ({!Int_graph.chain}): it
+    runs, serializes, prunes and serves like any quantized graph.
+
     Only the [Vgg_mini] architecture is currently exportable (residual
     blocks would additionally need requantized int8 skip-adds). *)
-
-type t
 
 val export :
   Qat_model.t ->
@@ -26,36 +27,13 @@ val export :
   ?variant:Twq_winograd.Transform.variant ->
   ?wino_bits:int ->
   unit ->
-  t
-(** Fold BN, calibrate and quantize every conv of the model.
+  Int_graph.t
+(** Fold BN, calibrate and quantize every conv of the model into the
+    chain input → (conv, relu)×2 → avg-pool per stage → head.
     [calibration] is an NCHW batch of representative inputs.
     @raise Invalid_argument for non-[Vgg_mini] architectures. *)
 
-val forward : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
-(** Logits for a batch; everything up to the head runs on integers.
-    Executes the compiled {!Plan} for the batch shape (compiled once per
-    shape, cached): fused requant/ReLU epilogues, liveness-based arena
-    reuse, near-zero steady-state allocation.  Bit-identical to
-    {!forward_ref}. *)
-
-val forward_ref : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
-(** Reference op-by-op interpreter — the oracle {!forward} is tested
-    against. *)
-
-val plans : t -> Plan.cache
-(** The network's plan cache (one plan per batch shape). *)
-
-val accuracy : t -> Twq_dataset.Synth_images.sample array -> float
-(** Top-1 accuracy of the integer network on a dataset split. *)
-
-val layers : t -> Twq_quant.Tapwise.layer list
-(** The exported integer conv layers (inspection / further compression,
-    e.g. {!Twq_quant.Pruning}). *)
-
-val to_string : t -> string
-val of_string : string -> t
-(** Exact text round-trip: a reloaded network produces bit-identical
-    integer activations. *)
-
-val save : t -> string -> unit
-val load : string -> t
+val of_string : string -> Int_graph.t
+(** Read a network saved in the retired [twq-int8-net v1] format as the
+    equivalent {!Int_graph.t}; it computes bit-identical logits.
+    @raise Failure on malformed input. *)

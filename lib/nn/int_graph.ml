@@ -24,43 +24,64 @@ type iop =
 
 type inode = { iop : iop; inputs : int list; scale : float }
 
-type t = { inodes : inode array; out : int; plans : Plan.cache option }
+type t = { inodes : inode array; out : int; plans : Plan.cache }
 
 (* Lower the graph to the planner IR once at load time: Winograd and
    spatial layers are pre-packed (once, shared by every batch size's
-   plan) and the GAP→Linear head becomes an explicit [P_head].
-   Graphs whose output is not a head (possible only through hand-edited
-   serialized files) keep [plans = None] and run on the interpreter. *)
+   plan) and the GAP→Linear head becomes an explicit [P_head].  Every
+   graph has a head at [out] ([quantize] builds one, [of_string]
+   rejects files without one), so every graph runs a compiled plan. *)
 let lower inodes out =
-  match inodes.(out).iop with
-  | IHead _ ->
-      let pnodes =
-        Array.map
-          (fun { iop; inputs; _ } ->
-            let prim =
-              match iop with
-              | IInput s -> Plan.P_quantize s
-              | IWino l -> Plan.P_wino (Tapwise.pack l)
-              | ISpatial l -> Plan.P_spatial (Qconv.pack l)
-              | IRelu -> Plan.P_relu
-              | ILeaky k -> Plan.P_leaky k
-              | IMax_pool { k; stride } -> Plan.P_max_pool { k; stride }
-              | IAvg_pool2 -> Plan.P_avg_pool2
-              | IUpsample f -> Plan.P_upsample f
-              | IAdd { shift_a; shift_b; _ } -> Plan.P_add { shift_a; shift_b }
-              | IConcat { shift_a; shift_b } ->
-                  Plan.P_concat { shift_a; shift_b }
-              | IHead { w; bias; in_scale } -> Plan.P_head { w; bias; in_scale }
-            in
-            { Plan.prim; args = inputs })
-          inodes
-      in
-      Some (Plan.cache { Plan.pnodes; out })
-  | _ -> None
+  let pnodes =
+    Array.map
+      (fun { iop; inputs; _ } ->
+        let prim =
+          match iop with
+          | IInput s -> Plan.P_quantize s
+          | IWino l -> Plan.P_wino (Tapwise.pack l)
+          | ISpatial l -> Plan.P_spatial (Qconv.pack l)
+          | IRelu -> Plan.P_relu
+          | ILeaky k -> Plan.P_leaky k
+          | IMax_pool { k; stride } -> Plan.P_max_pool { k; stride }
+          | IAvg_pool2 -> Plan.P_avg_pool2
+          | IUpsample f -> Plan.P_upsample f
+          | IAdd { shift_a; shift_b; _ } -> Plan.P_add { shift_a; shift_b }
+          | IConcat { shift_a; shift_b } -> Plan.P_concat { shift_a; shift_b }
+          | IHead { w; bias; in_scale } -> Plan.P_head { w; bias; in_scale }
+        in
+        { Plan.prim; args = inputs })
+      inodes
+  in
+  Plan.cache { Plan.pnodes; out }
 
 let make inodes out = { inodes; out; plans = lower inodes out }
 
-let plans t = t.plans
+let plans t = Some t.plans
+let plan t ~input_shape = Plan.plan t.plans ~input_shape
+
+type link = Wino of Tapwise.layer | Relu | Avg_pool2
+
+(* A linear chain input → links → head.  Each node carries the scale of
+   the last Winograd layer at or before it, which is also the head's. *)
+let chain ~input_scale links ~w ~bias =
+  let input = { iop = IInput input_scale; inputs = []; scale = input_scale } in
+  let nodes, scale =
+    List.fold_left
+      (fun (nodes, scale) link ->
+        let iop, scale =
+          match link with
+          | Wino l -> (IWino l, l.Tapwise.s_y)
+          | Relu -> (IRelu, scale)
+          | Avg_pool2 -> (IAvg_pool2, scale)
+        in
+        ({ iop; inputs = [ List.length nodes - 1 ]; scale } :: nodes, scale))
+      ([ input ], input_scale) links
+  in
+  let last = List.length nodes - 1 in
+  let head =
+    { iop = IHead { w; bias; in_scale = scale }; inputs = [ last ]; scale = 1.0 }
+  in
+  make (Array.of_list (List.rev (head :: nodes))) (last + 1)
 
 let pow2_scale ~bits x_max =
   Quantizer.pow2_round_up (Quantizer.scale_for ~bits ~max_abs:(Float.max 1e-9 x_max))
@@ -296,8 +317,7 @@ let run_ref t x =
   | Some v -> v
   | None -> invalid_arg "Int_graph.run: graph has no head"
 
-let run t x =
-  match t.plans with Some c -> Plan.run c x | None -> run_ref t x
+let run t x = Plan.run t.plans x
 
 let noise_vs_float t g x =
   let reference = Graph.run g x in
@@ -305,10 +325,34 @@ let noise_vs_float t g x =
   let err = Tensor.sub reference quantized in
   sqrt (Tensor.sumsq err /. Float.max 1e-30 (Tensor.sumsq reference))
 
-let winograd_layer_count t =
-  Array.fold_left
-    (fun a n -> match n.iop with IWino _ -> a + 1 | _ -> a)
-    0 t.inodes
+let wino_layers t =
+  List.filter_map
+    (fun n -> match n.iop with IWino l -> Some l | _ -> None)
+    (Array.to_list t.inodes)
+
+module Synth = Twq_dataset.Synth_images
+
+let accuracy t split =
+  let n = Array.length split in
+  let correct = ref 0 and i = ref 0 in
+  while !i < n do
+    let size = Stdlib.min 32 (n - !i) in
+    let image = split.(0).Synth.image in
+    let numel = Tensor.numel image in
+    let xb = Tensor.zeros (Array.append [| size |] image.Tensor.shape) in
+    for bi = 0 to size - 1 do
+      Array.blit split.(!i + bi).Synth.image.Tensor.data 0 xb.Tensor.data
+        (bi * numel) numel
+    done;
+    let out = run t xb in
+    for bi = 0 to size - 1 do
+      if Ops.argmax_row out bi = split.(!i + bi).Synth.label then incr correct
+    done;
+    i := !i + size
+  done;
+  float_of_int !correct /. float_of_int n
+
+let winograd_layer_count t = List.length (wino_layers t)
 
 let spatial_layer_count t =
   Array.fold_left
@@ -337,23 +381,17 @@ let prune t ~density =
   make inodes t.out
 
 let winograd_density t =
-  let nz = ref 0 and total = ref 0 in
-  Array.iter
-    (fun n ->
-      match n.iop with
-      | IWino l ->
-          let d = l.Tapwise.wq.Itensor.data in
-          Array.iter (fun v -> if v <> 0 then incr nz) d;
-          total := !total + Array.length d
-      | _ -> ())
-    t.inodes;
-  if !total = 0 then 1.0 else float_of_int !nz /. float_of_int !total
+  let weights = List.map (fun l -> l.Tapwise.wq.Itensor.data) (wino_layers t) in
+  let total = List.fold_left (fun a d -> a + Array.length d) 0 weights in
+  let nz =
+    List.fold_left
+      (fun a d -> Array.fold_left (fun a v -> if v <> 0 then a + 1 else a) a d)
+      0 weights
+  in
+  if total = 0 then 1.0 else float_of_int nz /. float_of_int total
 
-let wino_sparsity t =
-  match t.plans with Some c -> Plan.wino_sparsity c | None -> (0, 0)
-
-let wino_pairing t =
-  match t.plans with Some c -> Plan.wino_pairing c | None -> (0, 0, 0)
+let wino_sparsity t = Plan.wino_sparsity t.plans
+let wino_pairing t = Plan.wino_pairing t.plans
 
 (* --------------------------------------------------------------- file I/O *)
 
@@ -397,6 +435,10 @@ let to_string t =
     t.inodes;
   Buffer.contents buf
 
+(* Structure is validated here, naming the offending node, so a loaded
+   graph always lowers to a plan: the output is the one head, every input
+   is an earlier integer node, each op has its arity and its parameters
+   are in range. *)
 let of_string s =
   let r = Serialize.reader_of_string s in
   try
@@ -409,17 +451,42 @@ let of_string s =
       Serialize.parse_fail r "invalid node count";
     if out < 0 || out >= n then Serialize.parse_fail r "output id out of range";
     let inodes =
-      Array.init n (fun _ ->
+      Array.init n (fun i ->
+          let fail fmt =
+            Printf.ksprintf
+              (fun m -> Serialize.parse_fail r (Printf.sprintf "node %d: %s" i m))
+              fmt
+          in
+          let shift what =
+            Serialize.read_int_in r ~what:(Printf.sprintf "node %d: %s" i what) 0 62
+          in
+          let positive what =
+            let v = Serialize.read_int r in
+            if v < 1 then fail "%s %d is not positive" what v;
+            v
+          in
           Serialize.expect r "node";
           let n_inputs = Serialize.read_int r in
           if n_inputs < 0 || n_inputs > String.length s then
-            Serialize.parse_fail r "invalid input count";
+            fail "invalid input count";
           let scale = Serialize.read_float r in
           let inputs = List.init n_inputs (fun _ -> Serialize.read_int r) in
-          if List.exists (fun i -> i < 0 || i >= n) inputs then
-            Serialize.parse_fail r "input id out of range";
+          List.iter
+            (fun j ->
+              if j < 0 || j >= i then fail "input %d is not an earlier node" j;
+              if j = out then fail "input %d is the float head" j)
+            inputs;
+          let tag = Serialize.read_word r in
+          let arity =
+            match tag with "input" -> 0 | "add" | "concat" -> 2 | _ -> 1
+          in
+          if n_inputs <> arity then
+            fail "%s takes %d inputs, got %d" tag arity n_inputs;
+          if (tag = "head") <> (i = out) then
+            if i = out then fail "the output must be a head, got %s" tag
+            else fail "head is not the output (node %d)" out;
           let iop =
-            match Serialize.read_word r with
+            match tag with
             | "input" -> IInput (Serialize.read_float r)
             | "wino" ->
                 Serialize.expect r "tapwise-layer";
@@ -430,21 +497,21 @@ let of_string s =
                 Serialize.expect r "v1";
                 ISpatial (Serialize.read_qconv_body r)
             | "relu" -> IRelu
-            | "leaky" -> ILeaky (Serialize.read_int r)
+            | "leaky" -> ILeaky (shift "leaky shift")
             | "max-pool" ->
-                let k = Serialize.read_int r in
-                let stride = Serialize.read_int r in
+                let k = positive "pool k" in
+                let stride = positive "pool stride" in
                 IMax_pool { k; stride }
             | "avg-pool2" -> IAvg_pool2
-            | "upsample" -> IUpsample (Serialize.read_int r)
+            | "upsample" -> IUpsample (positive "upsample factor")
             | "add" ->
-                let a = Serialize.read_int r in
-                let b = Serialize.read_int r in
+                let a = shift "shift_a" in
+                let b = shift "shift_b" in
                 let o = Serialize.read_float r in
                 IAdd { shift_a = a; shift_b = b; out_scale = o }
             | "concat" ->
-                let a = Serialize.read_int r in
-                let b = Serialize.read_int r in
+                let a = shift "shift_a" in
+                let b = shift "shift_b" in
                 IConcat { shift_a = a; shift_b = b }
             | "head" ->
                 let in_scale = Serialize.read_float r in

@@ -1,8 +1,8 @@
 (** Compiled execution plans for integer inference graphs.
 
-    The interpreters in {!Int_graph} and {!Deploy} walk their node lists
-    allocating a fresh activation tensor per node per forward and sweep
-    the activations again for every elementwise epilogue.  A plan
+    The interpreter in {!Int_graph} ([run_ref]) walks its node list,
+    allocating a fresh activation tensor per node per forward and
+    sweeping the activations again for every elementwise epilogue.  A plan
     compiles the same computation, for one concrete input shape, into:
 
     - a topological schedule over the nodes reachable from the output;
@@ -18,9 +18,10 @@
       workers share the plan but never a buffer, and a steady-state
       forward allocates only its returned logits.
 
-    Planned execution is bit-identical to the reference interpreters
-    ([Int_graph.run_ref] / [Deploy.forward_ref]); the test-suite checks
-    this exhaustively over random graphs. *)
+    Planned execution is bit-identical to the reference interpreter
+    ([Int_graph.run_ref]); the test-suite checks this exhaustively over
+    random graphs.  Every {!Int_graph.t} carries a plan cache, so
+    serving never falls back to the interpreter. *)
 
 module Tensor = Twq_tensor.Tensor
 module Itensor = Twq_tensor.Itensor

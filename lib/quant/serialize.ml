@@ -206,6 +206,25 @@ let layer_to_string (l : Tapwise.layer) =
       write_tensor buf b);
   Buffer.contents buf
 
+(* Stored weights must lie in the range [Quantizer.quantize ~bits]
+   produces: a wider one would wrap the int accumulators of the GEMMs
+   and of the oracle alike.  [wq] is [cout; cin; kh; kw]; [what] names
+   the position within a kernel (a Winograd tap or a spatial offset). *)
+let check_weight_range ~start ~bits ~what (wq : Itensor.t) =
+  let lo = Quantizer.qmin ~bits and hi = Quantizer.qmax ~bits in
+  let cin = Itensor.dim wq 1 and kh = Itensor.dim wq 2 and kw = Itensor.dim wq 3 in
+  let d = wq.Itensor.data in
+  for idx = 0 to Array.length d - 1 do
+    let v = d.(idx) in
+    if v < lo || v > hi then
+      let pos = idx mod (kh * kw) and c = idx / (kh * kw) in
+      fail_at start
+        (Printf.sprintf
+           "weight %d at output channel %d, input channel %d, %s (%d,%d) \
+            is outside the %d-bit range [%d, %d]"
+           v (c / cin) (c mod cin) what (pos / kw) (pos mod kw) bits lo hi)
+  done
+
 let read_bias_flag r =
   expect r "bias";
   match read_int_in r ~what:"bias flag" 0 1 with
@@ -283,6 +302,7 @@ let read_layer_body r =
     fail_at wq_start
       (Printf.sprintf "quantized weight taps are %dx%d, expected %dx%d"
          (Itensor.dim wq 2) (Itensor.dim wq 3) t t);
+  check_weight_range ~start:wq_start ~bits:wino_bits ~what:"tap" wq;
   (match s_g_channel with
   | Some grids when Array.length grids <> Itensor.dim wq 0 ->
       fail_at wq_start
@@ -339,6 +359,7 @@ let read_qconv_body r =
   let wq = read_itensor r in
   if Array.length wq.Itensor.shape <> 4 then
     fail_at wq_start "quantized weights must have rank 4";
+  check_weight_range ~start:wq_start ~bits:act_bits ~what:"offset" wq;
   (match s_w_channel with
   | Some s when Array.length s <> Itensor.dim wq 0 ->
       fail_at wq_start

@@ -18,7 +18,11 @@
     forward requantizes each tap by a shift of [log2 (s_b/s_x)].  Every
     weight tap scale ([s_g] and each [s_g_channel] grid) must be a power
     of two, since {!Tapwise.pack} folds [s_b·s_g] into one exact
-    rescale.  Malformed input yields a typed {!error} with
+    rescale.  Every stored quantized weight must lie in the range
+    [Quantizer.quantize] produces at the layer's width ([wino_bits] for a
+    tap-wise [wq], [act_bits] for a spatial one); a wider weight would
+    wrap the int accumulators, so it is refused naming its channel and
+    tap.  Malformed input yields a typed {!error} with
     the byte offset of the offending token — never [Scanf.Scan_failure],
     [End_of_file], [Out_of_memory] or a silent half-parsed value. *)
 
@@ -31,8 +35,8 @@ exception Parse_failure of error
 val error_to_string : error -> string
 
 (** {2 Reader primitives} — for container formats that embed layers
-    (e.g. {!Twq_nn.Deploy}, {!Twq_nn.Int_graph}). All raise
-    {!Parse_failure} on malformed input. *)
+    (e.g. {!Twq_nn.Int_graph}, the legacy net reader in
+    {!Twq_nn.Deploy}).  All raise {!Parse_failure} on malformed input. *)
 
 type reader
 
@@ -46,6 +50,10 @@ val read_word : reader -> string
 val read_int : reader -> int
 val read_float : reader -> float
 val read_bool : reader -> bool
+
+val read_int_in : reader -> what:string -> int -> int -> int
+(** [read_int_in r ~what lo hi] reads an int, failing unless it lies in
+    [\[lo, hi\]]. *)
 
 val expect : reader -> string -> unit
 (** Consume the next token, failing unless it equals the argument. *)

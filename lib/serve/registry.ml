@@ -118,10 +118,11 @@ let parse_artifact ~file raw =
                   if got <> crc then
                     Error (Corrupt_artifact { file; expected = crc; got })
                   else
-                    match Model.of_string (String.sub raw (nl + 1) len) with
+                    let payload = String.sub raw (nl + 1) len in
+                    match Model.of_string payload with
                     | Error reason -> bad reason
                     | Ok model ->
-                        if Model.kind model <> kind then
+                        if Model.payload_kind payload <> Some kind then
                           bad "kind tag does not match payload"
                         else
                           Ok

@@ -195,8 +195,8 @@ let test_int_graph_wino_bits_help () =
     (n12 <= n8)
 
 let test_int_graph_learned_scales_deploy () =
-  (* Deploy of a WA-trained model uses its scale grids (smoke check via the
-     sequential Deploy path, which shares Tapwise.calibrate's override). *)
+  (* Deploy of a WA-trained model uses its scale grids (smoke check via
+     Deploy.export, which passes them to Tapwise.calibrate's override). *)
   let d =
     Twq_dataset.Synth_images.generate
       ~spec:{ Twq_dataset.Synth_images.default_spec with
@@ -221,7 +221,7 @@ let test_int_graph_learned_scales_deploy () =
       (Array.init 8 Fun.id)
   in
   let net = Deploy.export model ~calibration:cal () in
-  let acc = Deploy.accuracy net d.Twq_dataset.Synth_images.test in
+  let acc = Int_graph.accuracy net d.Twq_dataset.Synth_images.test in
   Alcotest.(check bool) (Printf.sprintf "acc %.2f sane" acc) true
     (acc >= 0.0 && acc <= 1.0)
 

@@ -166,8 +166,8 @@ let test_deploy_int8_close_to_fake_quant () =
   let fq = Trainer.evaluate model d.Synth.test in
   let cal, _ = Synth.batch d d.Synth.train (Array.init 16 Fun.id) in
   let net = Deploy.export model ~calibration:cal () in
-  let int_acc = Deploy.accuracy net d.Synth.test in
-  Alcotest.(check int) "4 conv layers" 4 (List.length (Deploy.layers net));
+  let int_acc = Int_graph.accuracy net d.Synth.test in
+  Alcotest.(check int) "4 conv layers" 4 (Int_graph.winograd_layer_count net);
   Alcotest.(check bool)
     (Printf.sprintf "int8 %.2f within 0.15 of fake-quant %.2f" int_acc fq)
     true
@@ -187,7 +187,7 @@ let test_deploy_scales_chain () =
         check rest
     | _ -> ()
   in
-  check (Deploy.layers net)
+  check (Int_graph.wino_layers net)
 
 let test_deploy_rejects_resnet () =
   let cfg =
@@ -205,19 +205,19 @@ let test_deploy_save_load_roundtrip () =
   let _ = Trainer.train model d { quick_opts with Trainer.epochs = 1 } in
   let cal, _ = Synth.batch d d.Synth.train (Array.init 8 Fun.id) in
   let net = Deploy.export model ~calibration:cal () in
-  let reloaded = Deploy.of_string (Deploy.to_string net) in
+  let reloaded = Int_graph.of_string (Int_graph.to_string net) in
   (* Bit-identical logits after round-trip. *)
   let x, _ = Synth.batch d d.Synth.test (Array.init 4 Fun.id) in
   Alcotest.(check bool) "same logits" true
-    (Tensor.approx_equal ~tol:0.0 (Deploy.forward net x) (Deploy.forward reloaded x));
-  let path = Filename.temp_file "twq" ".net" in
+    (Tensor.approx_equal ~tol:0.0 (Int_graph.run net x) (Int_graph.run reloaded x));
+  let path = Filename.temp_file "twq" ".graph" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Deploy.save net path;
-      let from_file = Deploy.load path in
+      Int_graph.save net path;
+      let from_file = Int_graph.load path in
       Alcotest.(check bool) "file round-trip" true
-        (Tensor.approx_equal ~tol:0.0 (Deploy.forward net x) (Deploy.forward from_file x)))
+        (Tensor.approx_equal ~tol:0.0 (Int_graph.run net x) (Int_graph.run from_file x)))
 
 (* ------------------------------------------------------------------- zoo *)
 

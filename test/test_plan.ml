@@ -218,14 +218,14 @@ let test_deploy_planned_matches_ref () =
   let cal = Tensor.rand_gaussian rng [| 2; 3; 12; 12 |] ~mu:0.0 ~sigma:1.0 in
   let net = Deploy.export model ~calibration:cal () in
   let x = Tensor.rand_gaussian rng [| 3; 3; 12; 12 |] ~mu:0.0 ~sigma:1.0 in
-  Alcotest.check tensor_exact "planned forward == forward_ref"
-    (Deploy.forward_ref net x) (Deploy.forward net x);
+  Alcotest.check tensor_exact "exported net: run == run_ref"
+    (Int_graph.run_ref net x) (Int_graph.run net x);
   Parallel.set_num_domains 4;
-  let par = Deploy.forward net x in
+  let par = Int_graph.run net x in
   Parallel.clear_num_domains_override ();
-  Alcotest.check tensor_exact "planned forward (4 domains) == forward_ref"
-    (Deploy.forward_ref net x) par;
-  let p = Plan.plan (Deploy.plans net) ~input_shape:x.Tensor.shape in
+  Alcotest.check tensor_exact "exported net: run (4 domains) == run_ref"
+    (Int_graph.run_ref net x) par;
+  let p = Int_graph.plan net ~input_shape:x.Tensor.shape in
   check_no_live_aliasing p;
   Alcotest.(check bool)
     (Printf.sprintf "vgg fuses its relus (%d)" (Plan.fused_epilogues p))
@@ -242,7 +242,7 @@ let () =
             test_resnet20_bit_identical;
           Alcotest.test_case "full-width resnet20 planned == run_ref" `Quick
             test_resnet20_full_width;
-          Alcotest.test_case "deploy planned == forward_ref" `Quick
+          Alcotest.test_case "deploy planned == run_ref" `Quick
             test_deploy_planned_matches_ref;
         ] );
       ( "planner",

@@ -4,12 +4,14 @@
    gradients must never reach the optimizer state. *)
 
 module Tensor = Twq_tensor.Tensor
+module Itensor = Twq_tensor.Itensor
 module Rng = Twq_util.Rng
 module Checkpoint = Twq_util.Checkpoint
 module Transform = Twq_winograd.Transform
 module Serialize = Twq_quant.Serialize
 module Tapwise = Twq_quant.Tapwise
 module Qconv = Twq_quant.Qconv
+module Quantizer = Twq_quant.Quantizer
 module Calibration = Twq_quant.Calibration
 module Synth = Twq_dataset.Synth_images
 module Qat = Twq_nn.Qat_model
@@ -177,27 +179,24 @@ let prop_serialize_roundtrip_all_granularities =
       | Ok l2 -> String.equal s (Serialize.layer_to_string l2)
       | Error _ -> false)
 
+let rand_qconv seed =
+  let rng = Rng.create (2000 + seed) in
+  let cin = 1 + (seed mod 2) and cout = 1 + (seed mod 3) in
+  let w = Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.5 in
+  let bias =
+    if seed mod 2 = 0 then
+      Some (Tensor.rand_gaussian rng [| cout |] ~mu:0.0 ~sigma:0.1)
+    else None
+  in
+  Qconv.calibrate ~per_channel:(seed mod 3 = 0) ~w ?bias
+    ~sample_inputs:[ Tensor.rand_gaussian rng [| 1; cin; 6; 6 |] ~mu:0.0 ~sigma:1.0 ]
+    ~stride:1 ~pad:1 ()
+
 let prop_qconv_roundtrip =
   QCheck.Test.make ~name:"qconv serialize roundtrip" ~count:30
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      let rng = Rng.create (2000 + seed) in
-      let cin = 1 + (seed mod 2) and cout = 1 + (seed mod 3) in
-      let w =
-        Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.5
-      in
-      let bias =
-        if seed mod 2 = 0 then
-          Some (Tensor.rand_gaussian rng [| cout |] ~mu:0.0 ~sigma:0.1)
-        else None
-      in
-      let layer =
-        Qconv.calibrate ~per_channel:(seed mod 3 = 0) ~w ?bias
-          ~sample_inputs:
-            [ Tensor.rand_gaussian rng [| 1; cin; 6; 6 |] ~mu:0.0 ~sigma:1.0 ]
-          ~stride:1 ~pad:1 ()
-      in
-      let s = Serialize.qconv_to_string layer in
+      let s = Serialize.qconv_to_string (rand_qconv seed) in
       match Serialize.qconv_of_string_result s with
       | Ok l2 -> String.equal s (Serialize.qconv_to_string l2)
       | Error _ -> false)
@@ -225,9 +224,10 @@ let test_serialize_rejects_malformed () =
   | _ -> Alcotest.fail "garbage accepted")
 
 (* The typed failure must name what was rejected. *)
-let rejects_naming what ~needle s =
-  match Serialize.layer_of_string_result s with
-  | Ok _ -> Alcotest.failf "%s accepted" what
+let rejects_naming ?(parse = fun s -> Result.map ignore (Serialize.layer_of_string_result s))
+    what ~needle s =
+  match parse s with
+  | Ok () -> Alcotest.failf "%s accepted" what
   | Error e ->
       let msg = e.Serialize.message in
       let n = String.length needle in
@@ -290,6 +290,54 @@ let test_serialize_rejects_non_pow2_weight_scale () =
   grids.(0).(1).(1) <- 3.0 *. grids.(0).(1).(1);
   rejects_naming "s_g_channel(1,1) tripled" ~needle:"s_g_channel(1,1)"
     (Serialize.layer_to_string { l with Tapwise.s_g_channel = Some grids })
+
+(* A stored weight outside the range [Quantizer.quantize ~bits] produces
+   would wrap the int accumulators of the GEMM and of the oracle alike:
+   it is refused at load, naming the channel and tap.  Weights on both
+   rails still load. *)
+let test_serialize_bounds_weights () =
+  let set wq (co, ci, i, j) v =
+    let wq = Itensor.copy wq in
+    Itensor.set4 wq co ci i j v;
+    wq
+  in
+  let outside = [ 1 lsl 61; -(1 lsl 61) ] in
+  (* Tap-wise: rand_layer 4 is F2 (4x4 taps), 1 -> 2 channels. *)
+  let l = rand_layer 4 in
+  let bits = l.Tapwise.config.Tapwise.wino_bits in
+  let tap_wq pos v = Serialize.layer_to_string { l with Tapwise.wq = set l.Tapwise.wq pos v } in
+  List.iter
+    (fun v ->
+      rejects_naming (Printf.sprintf "tap weight %d" v)
+        ~needle:"output channel 1, input channel 0, tap (2,3)"
+        (tap_wq (1, 0, 2, 3) v))
+    (Quantizer.qmax ~bits + 1 :: Quantizer.qmin ~bits - 1 :: outside);
+  let rails =
+    set (set l.Tapwise.wq (0, 0, 0, 0) (Quantizer.qmax ~bits)) (1, 0, 3, 3)
+      (Quantizer.qmin ~bits)
+  in
+  (match Serialize.layer_of_string_result
+           (Serialize.layer_to_string { l with Tapwise.wq = rails }) with
+  | Ok l2 -> Alcotest.(check bool) "rails kept" true (Itensor.equal rails l2.Tapwise.wq)
+  | Error e -> Alcotest.failf "tap weights on the rails rejected: %s" e.Serialize.message);
+  (* Spatial: rand_qconv 4 is 3x3, 1 -> 2 channels, at act_bits. *)
+  let q = rand_qconv 4 in
+  let bits = q.Qconv.act_bits in
+  let qconv_rejects v =
+    rejects_naming (Printf.sprintf "qconv weight %d" v)
+      ~parse:(fun s -> Result.map ignore (Serialize.qconv_of_string_result s))
+      ~needle:"output channel 1, input channel 0, offset (2,1)"
+      (Serialize.qconv_to_string { q with Qconv.wq = set q.Qconv.wq (1, 0, 2, 1) v })
+  in
+  List.iter qconv_rejects (Quantizer.qmax ~bits + 1 :: Quantizer.qmin ~bits - 1 :: outside);
+  let rails =
+    set (set q.Qconv.wq (0, 0, 0, 0) (Quantizer.qmax ~bits)) (1, 0, 2, 2)
+      (Quantizer.qmin ~bits)
+  in
+  match Serialize.qconv_of_string_result
+          (Serialize.qconv_to_string { q with Qconv.wq = rails }) with
+  | Ok q2 -> Alcotest.(check bool) "rails kept" true (Itensor.equal rails q2.Qconv.wq)
+  | Error e -> Alcotest.failf "qconv weights on the rails rejected: %s" e.Serialize.message
 
 let tensor_rejects what s =
   match Serialize.read_tensor (Serialize.reader_of_string s) with
@@ -620,6 +668,8 @@ let () =
             test_serialize_rejects_inexact_tap_scale;
           Alcotest.test_case "rejects non-pow2 weight tap scale" `Quick
             test_serialize_rejects_non_pow2_weight_scale;
+          Alcotest.test_case "bounds quantized weights" `Quick
+            test_serialize_bounds_weights;
         ] );
       ( "guards",
         [

@@ -16,6 +16,7 @@ module Registry = Twq_serve.Registry
 module Batcher = Twq_serve.Batcher
 module Server = Twq_serve.Server
 module Loadgen = Twq_serve.Loadgen
+module Serialize = Twq_quant.Serialize
 
 let tmp_dir prefix =
   let p = Filename.temp_file prefix "" in
@@ -486,6 +487,165 @@ let test_registry_corrupt_artifact_skipped () =
           Alcotest.failf "wrong error: %s" (Registry.error_to_string e)
       | l -> Alcotest.failf "expected one skipped artifact, got %d" (List.length l))
 
+(* --------------------------------------------- legacy net artifacts *)
+
+(* A registry artifact written by the retired Deploy runtime: header kind
+   [net], payload [twq-int8-net v1] (a VGG-mini), committed with the
+   logits that runtime's planned forward gave on a recorded batch.  It
+   must still open, serve exactly those logits, and run a compiled plan
+   that agrees with the graph oracle. *)
+let test_legacy_net_artifact () =
+  let reg =
+    match Registry.open_dir "legacy_net" with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "open: %s" (Registry.error_to_string e)
+  in
+  Alcotest.(check int) "nothing skipped" 0 (List.length (Registry.skipped reg));
+  let e =
+    match Registry.lookup reg "vgg-mini" with
+    | Ok e -> e
+    | Error e -> Alcotest.failf "lookup: %s" (Registry.error_to_string e)
+  in
+  let g =
+    match e.Registry.model with
+    | Model.Graph g -> g
+    | Model.Net _ -> Alcotest.fail "legacy payload loaded as Net"
+  in
+  let r = Serialize.reader_of_string (read_raw "legacy_net_logits.txt") in
+  let x = Serialize.read_tensor r in
+  let expected = Serialize.read_tensor r in
+  Alcotest.(check bool) "batch logits bit-identical to the recorded ones" true
+    (tensor_equal_bits expected (Model.run_batch e.Registry.model x));
+  Alcotest.(check bool) "run == run_ref" true
+    (tensor_equal_bits (Twq_nn.Int_graph.run_ref g x) (Twq_nn.Int_graph.run g x));
+  let dims = e.Registry.input_dims in
+  let server = Server.for_model e.Registry.model ~input_dims:dims () in
+  Fun.protect
+    ~finally:(fun () -> Server.shutdown server)
+    (fun () ->
+      let classes = Tensor.dim expected 1 and numel = Array.fold_left ( * ) 1 dims in
+      for i = 0 to Tensor.dim x 0 - 1 do
+        let xi = Tensor.zeros dims in
+        Array.blit x.Tensor.data (i * numel) xi.Tensor.data 0 numel;
+        match Server.infer server xi with
+        | Server.Output row ->
+            Alcotest.(check bool)
+              (Printf.sprintf "served row %d bit-identical" i)
+              true
+              (tensor_equal_bits
+                 (Tensor.of_array [| classes |]
+                    (Array.sub expected.Tensor.data (i * classes) classes))
+                 row)
+        | o -> Alcotest.failf "infer %d: %s" i (Server.outcome_label o)
+      done)
+
+(* ----------------------------------------- graph structure validation *)
+
+(* A small quantized graph crossing every parameterized op: Winograd
+   conv, ReLU, max-pool, upsample, leaky ReLU, residual add, 1x1 spatial
+   conv, concat and the head. *)
+let structure_graph =
+  lazy
+    (let module G = Twq_nn.Graph in
+     let rng = Rng.create 71 in
+     let g = G.create () in
+     let conv ~k src cin cout =
+       G.add g
+         (G.Conv
+            { w = Tensor.rand_gaussian rng [| cout; cin; k; k |] ~mu:0.0 ~sigma:0.3;
+              bias = None; stride = 1; pad = k / 2 })
+         [ src ]
+     in
+     let r = G.add g G.Relu [ conv ~k:3 (G.input g) 3 4 ] in
+     let p = G.add g (G.Max_pool { k = 2; stride = 2 }) [ r ] in
+     let u = G.add g (G.Upsample 2) [ p ] in
+     let l = G.add g (G.Leaky_relu 2) [ u ] in
+     let a = G.add g G.Add [ r; l ] in
+     let c = G.add g G.Concat [ a; conv ~k:1 a 4 2 ] in
+     let gap = G.add g G.Global_avg_pool [ c ] in
+     G.set_output g
+       (G.add g (G.Linear { w = Tensor.rand_gaussian rng [| 3; 6 |] ~mu:0.0 ~sigma:0.5;
+                            bias = None }) [ gap ]);
+     let cal = Tensor.rand_gaussian rng [| 2; 3; 8; 8 |] ~mu:0.0 ~sigma:1.0 in
+     Twq_nn.Int_graph.to_string (Twq_nn.Int_graph.quantize g ~calibration:cal ()))
+
+let token k line = List.nth (String.split_on_char ' ' line) k
+
+(* Replace token [k] of a space-separated line. *)
+let set_token k v line =
+  String.concat " "
+    (List.mapi (fun i t -> if i = k then v else t) (String.split_on_char ' ' line))
+
+(* Apply [edit] to the serialized graph at the first node whose op line
+   starts with [tag]; [edit lines ~id ~h] sees the text's lines, the
+   node's id and the index of its header line "node <n_inputs> <scale>
+   <inputs> " (the op line follows it).  Returns the id and the text. *)
+let mutate tag edit text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let headers =
+    List.filter (fun h -> token 0 lines.(h) = "node")
+      (List.init (Array.length lines - 1) Fun.id)
+  in
+  let id, h =
+    List.find (fun (_, h) -> token 0 lines.(h + 1) = tag)
+      (List.mapi (fun id h -> (id, h)) headers)
+  in
+  edit lines ~id ~h;
+  (id, String.concat "\n" (Array.to_list lines))
+
+let on_header f lines ~id:_ ~h = lines.(h) <- f lines.(h)
+let on_op f lines ~id:_ ~h = lines.(h + 1) <- f lines.(h + 1)
+
+(* Line 1 is "meta <nodes> <out>". *)
+let graph_mutations =
+  [
+    ( "output names a non-head node",
+      "relu",
+      fun lines ~id ~h:_ -> lines.(1) <- set_token 2 (string_of_int id) lines.(1) );
+    ( "input from a later node",
+      "relu",
+      fun lines ~id:_ ~h ->
+        let later = int_of_string (token 1 lines.(1)) - 2 in
+        lines.(h) <- set_token 3 (string_of_int later) lines.(h) );
+    ("relu with no input", "relu", on_header (fun h -> "node 0 " ^ token 2 h ^ " "));
+    ("add with one input", "add", on_header (fun h -> set_token 1 "1" (set_token 4 "" h)));
+    ("max-pool k 0", "max-pool", on_op (set_token 1 "0"));
+    ("max-pool stride 0", "max-pool", on_op (set_token 2 "0"));
+    ("upsample factor 0", "upsample", on_op (set_token 1 "0"));
+    ("leaky shift 63", "leaky", on_op (set_token 1 "63"));
+    ("add shift 63", "add", on_op (set_token 1 "63"));
+    ("concat shift -1", "concat", on_op (set_token 2 "-1"));
+  ]
+
+let contains s needle =
+  let n = String.length needle in
+  let rec at i = i + n <= String.length s && (String.sub s i n = needle || at (i + 1)) in
+  at 0
+
+(* Each mutation loads at the parse layer as an error naming the node,
+   and a registry holding it skips it as a bad artifact. *)
+let test_graph_mutation (tag, edit) () =
+  let node, payload = mutate tag edit (Lazy.force structure_graph) in
+  (match Model.of_string payload with
+  | Ok _ -> Alcotest.fail "mutated graph accepted"
+  | Error msg ->
+      let needle = Printf.sprintf "node %d" node in
+      if not (contains msg needle) then Alcotest.failf "message %S lacks %S" msg needle);
+  with_registry (fun dir ->
+      write_raw
+        (Filename.concat dir "bad@v1.twqm")
+        (Printf.sprintf "twq-model v1 bad 1 graph 3 8 8 %d %08x\n%s"
+           (String.length payload) (Crc32.digest payload) payload);
+      match Registry.skipped (Result.get_ok (Registry.open_dir dir)) with
+      | [ (_, Registry.Bad_artifact _) ] -> ()
+      | [ (_, e) ] -> Alcotest.failf "wrong error: %s" (Registry.error_to_string e)
+      | l -> Alcotest.failf "expected one skipped artifact, got %d" (List.length l))
+
+let test_structure_graph_loads () =
+  match Model.of_string (Lazy.force structure_graph) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "unmutated graph rejected: %s" msg
+
 let test_registry_hot_swap () =
   with_registry (fun dir ->
       let reg = Result.get_ok (Registry.open_dir dir) in
@@ -516,12 +676,8 @@ let test_registry_hot_swap () =
 (* Hot-swapping must leave the server with compiled plans for the new
    artifact: the initial model is warmed at [start], a swapped-in model
    at its first batch — after that no request plans anything. *)
-let plan_shapes = function
-  | Model.Graph g -> (
-      match Twq_nn.Int_graph.plans g with
-      | Some c -> Twq_nn.Plan.cached_shapes c
-      | None -> [])
-  | Model.Net d -> Twq_nn.Plan.cached_shapes (Twq_nn.Deploy.plans d)
+let plan_shapes (Model.Graph g | Model.Net g) =
+  Twq_nn.Plan.cached_shapes (Option.get (Twq_nn.Int_graph.plans g))
 
 let test_hot_swap_rebuilds_plans () =
   with_registry (fun dir ->
@@ -712,7 +868,16 @@ let () =
             test_registry_refresh_prunes_active;
           Alcotest.test_case "bad names rejected" `Quick
             test_registry_rejects_bad_names;
+          Alcotest.test_case "legacy net artifact serves its logits" `Quick
+            test_legacy_net_artifact;
         ] );
+      ( "structure",
+        Alcotest.test_case "unmutated graph loads" `Quick test_structure_graph_loads
+        :: List.map
+             (fun (name, tag, edit) ->
+               Alcotest.test_case ("rejects " ^ name) `Quick
+                 (test_graph_mutation (tag, edit)))
+             graph_mutations );
       ( "metrics",
         [
           Alcotest.test_case "crc32 vectors" `Quick test_crc32_known_vector;
