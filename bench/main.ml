@@ -180,6 +180,24 @@ let xi_tapwise =
     ~scale:tapwise_layer_par.Twq.Quant.Tapwise.s_x
     (Tensor.rand_gaussian rng [| 2; 8; 24; 24 |] ~mu:0.0 ~sigma:1.0)
 
+(* The served shape of the tap-wise path: a pre-packed 16→16 layer on
+   a 32×32 batch of 8 through [forward_int_into], the call a compiled
+   plan makes — no per-call pack, so the row times only the tap-major
+   loop and its engines and should allocate next to nothing. *)
+let tapwise_packed =
+  Twq.Quant.Tapwise.pack
+    (Twq.Quant.Tapwise.calibrate
+       ~config:(Twq.Quant.Tapwise.default_config T.F4)
+       ~w:(Tensor.rand_gaussian rng [| 16; 16; 3; 3 |] ~mu:0.0 ~sigma:0.12)
+       ~sample_inputs:
+         [ Tensor.rand_gaussian rng [| 1; 16; 32; 32 |] ~mu:0.0 ~sigma:1.0 ]
+       ~pad:1 ())
+
+let xi_packed =
+  Twq.Itensor.init [| 8; 16; 32; 32 |] (fun _ -> Twq.Rng.int rng 255 - 127)
+
+let out_packed = Twq.Itensor.zeros [| 8; 16; 32; 32 |]
+
 let gconv45 = Twq.Winograd.Gconv.create ~m:4 ~r:5 ()
 let w45_par = Tensor.rand_gaussian rng [| 16; 16; 5; 5 |] ~mu:0.0 ~sigma:0.2
 
@@ -475,6 +493,9 @@ let kernels : (string * (unit -> unit)) list =
                ~w:wi_par ()));
       sequential "tapwise-int8-tap" (fun () ->
           ignore (Twq.Quant.Tapwise.forward_int tapwise_layer_par xi_tapwise));
+      sequential "tapwise-int8-packed" (fun () ->
+          Twq.Quant.Tapwise.forward_int_into tapwise_packed xi_packed
+            ~out:out_packed);
       sequential "tapwise-int8-tile" (fun () ->
           ignore (Twq.Quant.Tapwise.forward_int_ref tapwise_layer_par xi_tapwise));
       sequential "wino-f4-fp32-micro" (fun () ->

@@ -34,6 +34,7 @@ module Quant = struct
   module Quantizer = Twq_quant.Quantizer
   module Calibration = Twq_quant.Calibration
   module Tapwise = Twq_quant.Tapwise
+  module Tile_engines = Twq_quant.Tile_engines
   module Qconv = Twq_quant.Qconv
   module Error_analysis = Twq_quant.Error_analysis
 end

@@ -131,6 +131,8 @@ let of_string s =
         (Printf.sprintf "output scale %h is not the last conv's s_y %h"
            output_scale chained);
     Int_graph.chain ~input_scale links ~w:fc_w ~bias:(Some fc_b)
-  with Serialize.Parse_failure e ->
-    failwith ("Deploy.of_string: " ^ Serialize.error_to_string e)
+  with
+  | Serialize.Parse_failure e ->
+      failwith ("Deploy.of_string: " ^ Serialize.error_to_string e)
+  | Invalid_argument m -> failwith ("Deploy.of_string: " ^ m)
 

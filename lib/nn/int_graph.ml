@@ -54,7 +54,36 @@ let lower inodes out =
   in
   Plan.cache { Plan.pnodes; out }
 
-let make inodes out = { inodes; out; plans = lower inodes out }
+(* [Tapwise]'s input contract: a Winograd layer's input lies within its
+   act_bits, which its scatter range proof assumes.  Each node's output
+   width in signed bits: the input quantizes at 8 bits, a conv saturates
+   at its act_bits, an add at 8, and no other op widens its operands. *)
+let check_input_widths inodes =
+  let bits = Array.make (Array.length inodes) 0 in
+  Array.iteri
+    (fun i { iop; inputs; _ } ->
+      let widest = List.fold_left (fun a j -> max a bits.(j)) 0 inputs in
+      bits.(i) <-
+        (match iop with
+        | IInput _ | IAdd _ -> 8
+        | IWino l ->
+            let a = l.Tapwise.config.act_bits in
+            if a < widest then
+              invalid_arg
+                (Printf.sprintf
+                   "Int_graph: node %d: act_bits %d is narrower than its \
+                    %d-bit input"
+                   i a widest);
+            a
+        | ISpatial l -> l.Qconv.act_bits
+        | IRelu | ILeaky _ | IMax_pool _ | IAvg_pool2 | IUpsample _
+        | IConcat _ | IHead _ ->
+            widest))
+    inodes
+
+let make inodes out =
+  check_input_widths inodes;
+  { inodes; out; plans = lower inodes out }
 
 let plans t = Some t.plans
 let plan t ~input_shape = Plan.plan t.plans ~input_shape
@@ -272,7 +301,8 @@ let run_ref t x =
       | IInput s ->
           int_values.(i) <- Some (Quantizer.quantize_tensor ~bits:8 ~scale:s x)
       | IWino layer ->
-          int_values.(i) <- Some (Tapwise.forward_int layer (arg (List.hd inputs)))
+          int_values.(i) <-
+            Some (Tapwise.forward_int_ref layer (arg (List.hd inputs)))
       | ISpatial layer ->
           int_values.(i) <- Some (Qconv.forward_int layer (arg (List.hd inputs)))
       | IRelu -> int_values.(i) <- Some (int_relu (arg (List.hd inputs)))
@@ -460,6 +490,14 @@ let of_string s =
           let shift what =
             Serialize.read_int_in r ~what:(Printf.sprintf "node %d: %s" i what) 0 62
           in
+          (* A layer body's own errors gain the node's name too. *)
+          let body read =
+            try read r
+            with Serialize.Parse_failure e ->
+              raise
+                (Serialize.Parse_failure
+                   { e with message = Printf.sprintf "node %d: %s" i e.message })
+          in
           let positive what =
             let v = Serialize.read_int r in
             if v < 1 then fail "%s %d is not positive" what v;
@@ -491,11 +529,11 @@ let of_string s =
             | "wino" ->
                 Serialize.expect r "tapwise-layer";
                 Serialize.expect r "v1";
-                IWino (Serialize.read_layer_body r)
+                IWino (body Serialize.read_layer_body)
             | "spatial" ->
                 Serialize.expect r "qconv-layer";
                 Serialize.expect r "v1";
-                ISpatial (Serialize.read_qconv_body r)
+                ISpatial (body Serialize.read_qconv_body)
             | "relu" -> IRelu
             | "leaky" -> ILeaky (shift "leaky shift")
             | "max-pool" ->
@@ -526,8 +564,10 @@ let of_string s =
           { iop; inputs; scale })
     in
     make inodes out
-  with Serialize.Parse_failure e ->
-    failwith ("Int_graph.of_string: " ^ Serialize.error_to_string e)
+  with
+  | Serialize.Parse_failure e ->
+      failwith ("Int_graph.of_string: " ^ Serialize.error_to_string e)
+  | Invalid_argument m -> failwith ("Int_graph.of_string: " ^ m)
 
 let save t path =
   let oc = open_out path in

@@ -47,7 +47,11 @@ val chain :
 (** A linear network: quantize at [input_scale], apply the links in
     order, then the float head (global-average-pool, linear [w]/[bias])
     dequantizing at the [s_y] of the last Winograd layer.  This is the
-    shape {!Deploy.export} produces. *)
+    shape {!Deploy.export} produces.
+    @raise Invalid_argument when a Winograd layer's [act_bits] is
+    narrower than its input (8 bits after the input quantizer, a
+    layer's [act_bits] after it): {!Twq_quant.Tapwise}'s input contract,
+    which {!quantize} and {!of_string} enforce too. *)
 
 val run : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
 (** Float in (quantized at the input scale), logits out.  Executes the
@@ -58,7 +62,10 @@ val run : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
 
 val run_ref : t -> Twq_tensor.Tensor.t -> Twq_tensor.Tensor.t
 (** Reference node-by-node interpreter — the oracle {!run} is tested
-    against.  Drops intermediate activations after their last use. *)
+    against.  Its convolutions share no kernel code with the plan's:
+    Winograd layers run the tile-major [Tapwise.forward_int_ref] and
+    spatial layers the direct loop [Qconv.forward_int].  Drops
+    intermediate activations after their last use. *)
 
 val plans : t -> Plan.cache option
 (** The graph's plan cache.  Always [Some]: the option survives only
@@ -111,9 +118,11 @@ val of_string : string -> t
     ({!Twq_quant.Serialize}), the structure is validated: the output
     node is the only head, every input names an earlier node other than
     the head, each op has its arity (input 0, add/concat 2, the rest 1),
-    pool sizes, strides and upsample factors are at least 1, and shifts
-    lie in 0..62.
-    @raise Failure naming the offending node and byte offset. *)
+    pool sizes, strides and upsample factors are at least 1, shifts
+    lie in 0..62, and no Winograd layer's [act_bits] is narrower than
+    its input (8 bits after the input quantizer or an add, a conv's
+    [act_bits] after it, unchanged through the other ops).
+    @raise Failure naming the offending node (and byte offset). *)
 
 val save : t -> string -> unit
 val load : string -> t

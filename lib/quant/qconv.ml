@@ -172,7 +172,8 @@ let block_rows = 32
    Cube unit.  Output pixels (n·ho·wo rows) are cut into fixed blocks;
    each block is im2col'ed into an MR-packed A panel (padding positions
    read as zero) and multiplied against the packed weights with one
-   {!Microkernel.gemm_i32}, then requantized and stored through
+   {!Microkernel.gemm_i32}, which writes the block's C (no zero-fill),
+   then requantized and stored through
    [epilogue].  Integer accumulation is exact and the requant is the
    same float expression as [forward_int], so the two are
    bit-identical. *)
@@ -245,7 +246,6 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x ~out =
           a.(abase + (kk * mr)) <- 0
         done
       done;
-      Array.fill c 0 (bs_p * cout_p) 0;
       Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p:bs_p ~cols_p:cout_p ~k ~vp:a
         ~vo:0 ~up:b ~uo:0 ~c ~co:0 ~cstride:cout_p;
       (* Requant + fused epilogue, the [forward_int] expression inlined. *)

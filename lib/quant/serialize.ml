@@ -314,7 +314,14 @@ let read_layer_body r =
   | Some b when Tensor.numel b <> Itensor.dim wq 0 ->
       parse_fail r "bias length does not match output channels"
   | _ -> ());
-  { Tapwise.config; pad; s_x; s_w; s_y; s_b; s_g; s_g_channel; wq; bias }
+  let layer =
+    { Tapwise.config; pad; s_x; s_w; s_y; s_b; s_g; s_g_channel; wq; bias }
+  in
+  (* The widths and tap scales passed the checks above one by one;
+     together they must still let [Tapwise.pack] prove the scatter's
+     pre-clamp range, or the layer could not be served. *)
+  Option.iter (fail_at s_b_start) (Tapwise.scatter_range_error layer);
+  layer
 
 (* ------------------------------------------------------- spatial layers *)
 

@@ -22,7 +22,9 @@
     [Quantizer.quantize] produces at the layer's width ([wino_bits] for a
     tap-wise [wq], [act_bits] for a spatial one); a wider weight would
     wrap the int accumulators, so it is refused naming its channel and
-    tap.  Malformed input yields a typed {!error} with
+    tap.  The widths and tap scales together must pass
+    {!Tapwise.scatter_range_error}, the scatter range proof
+    {!Tapwise.pack} runs, so a layer that loads also packs.  Malformed input yields a typed {!error} with
     the byte offset of the offending token — never [Scanf.Scan_failure],
     [End_of_file], [Out_of_memory] or a silent half-parsed value. *)
 

@@ -316,30 +316,73 @@ type packed = {
       (* sbg[co·tt + tap] = s_b(tap)·s_g(co, tap), the single S_BG
          rescale of the gather.  Every s_g is a power of two ([pack]
          checks it), so (acc·s_b)·s_g = acc·(s_b·s_g) exactly. *)
-  (* Per-tap requant s_b(tap)/s_from = 2^k as a right shift [rshift] =
-     min (max k 0) 62 with its rounding offset [half] = 2^(rshift-1)
-     (0 when rshift = 0), then a left shift [lshift] = min (max (-k) 0)
-     wino_bits.  The caps keep both shifts inside the word (OCaml's
-     [asr 64] and [lsl 63] do not shift by that much) and change no
-     result: a right shift by 62 already rounds every |v| < 2^61 to 0,
-     and a left shift by wino_bits already saturates every v ≠ 0.  The
-     scatter runs per element; going through [requant_tap] there would
-     box its float arguments on every call (no flambda), and branching
-     on k or on the value's sign costs mispredictions, so the hot loop
-     is straight-line int arithmetic. *)
-  rshift : int array;
-  half : int array;
-  lshift : int array;
+  rq : int array;
+      (* Per-tap requant s_b(tap)/s_from = 2^k, three ints per tap as
+         [Tile_engines.scatter] reads them: the rounding offset
+         rq.(3·tap) = 2^(rshift-1) (0 when rshift = 0), the right shift
+         rq.(3·tap+1) = rshift = min (max k 0) 62, and the left shift
+         rq.(3·tap+2) = min (max (-k) 0) wino_bits.  The caps keep both
+         shifts inside the word (OCaml's [asr 64] and [lsl 63] do not
+         shift by that much) and change no result: a right shift by 62
+         already rounds every |v| < 2^61 to 0, and a left shift by
+         wino_bits already saturates every v ≠ 0.  The scatter runs per
+         element; going through [requant_tap] there would box its float
+         arguments on every call (no flambda), and branching on k or on
+         the value's sign costs mispredictions, so the engine is
+         straight-line int arithmetic. *)
 }
+
+(* The integer Bᵀ carries a bt_scale factor (F6); the scatter folds its
+   square into the source scale s_x/bt_scale² so every requant shift is
+   exact.  A left shift (k < 0) is capped at wino_bits, see [rq]. *)
+let bt_scale2 variant =
+  float_of_int (Transform.bt_scale variant * Transform.bt_scale variant)
+
+let left_shift ~wino_bits k = min (max (-k) 0) wino_bits
+
+(* The scatter's pre-clamp range proof.  A transformed tap is bounded
+   by max|x| · L_i · L_j, where L_i is the L1 norm of row i of the
+   integer Bᵀ, so by 2^(act_bits−1) · G with G the square of the largest
+   row norm; the left shift multiplies it by 2^lshift.  Below 2^61 the
+   shift cannot wrap the word and the engine's branch-free clamp
+   computes [z − hi] and [z − lo] without overflow (|lo|, |hi| < 2^61
+   for any [wino_bits] ≤ 62).  The check runs in floats: G < 2^53, so
+   the scaled bound is exact.  Also run by [Serialize] at load, so an
+   artifact that fails it is a parse error rather than a pack failure. *)
+let scatter_range_error l =
+  let { variant; act_bits; wino_bits; _ } = l.config in
+  let t = Transform.t variant in
+  let l1 =
+    Array.fold_left
+      (fun a row -> max a (Array.fold_left (fun s c -> s + abs c) 0 row))
+      0
+      (Transform.bt_scaled_int variant)
+  in
+  let g = float_of_int (l1 * l1) in
+  let s_from = l.s_x /. bt_scale2 variant in
+  let rec check tap =
+    if tap = t * t then None
+    else
+      let i = tap / t and j = tap mod t in
+      let lshift =
+        left_shift ~wino_bits (shift_of_ratio (l.s_b.(i).(j) /. s_from))
+      in
+      if Float.ldexp g (act_bits - 1 + lshift) >= Float.ldexp 1.0 61 then
+        Some
+          (Printf.sprintf
+             "tap (%d,%d) of %s can reach 2^%d · %d · 2^%d >= 2^61 before its \
+              clamp (act_bits = %d, wino_bits = %d)"
+             i j (Transform.name variant) (act_bits - 1) (l1 * l1) lshift
+             act_bits wino_bits)
+      else check (tap + 1)
+  in
+  check 0
 
 let pack l =
   let { variant; wino_bits; _ } = l.config in
   let t = Transform.t variant in
   let tt = t * t in
   let cout = Itensor.dim l.wq 0 and cin = Itensor.dim l.wq 1 in
-  let bt2 =
-    float_of_int (Transform.bt_scale variant * Transform.bt_scale variant)
-  in
   let sbg =
     Array.init (cout * tt) (fun idx ->
         let co = idx / tt and tap = idx mod tt in
@@ -356,13 +399,20 @@ let pack l =
   let { Microkernel.nr; _ } = Microkernel.config () in
   let cout_p = Microkernel.round_up cout nr in
   let ucincp = cin * cout_p in
-  let s_from = l.s_x /. bt2 in
+  let s_from = l.s_x /. bt_scale2 variant in
   let shift =
     Array.init tt (fun tap -> shift_of_ratio (l.s_b.(tap / t).(tap mod t) /. s_from))
   in
-  let rshift = Array.map (fun k -> min (max k 0) 62) shift in
-  let half = Array.map (fun k -> (1 lsl k) lsr 1) rshift in
-  let lshift = Array.map (fun k -> min (max (-k) 0) wino_bits) shift in
+  let rq =
+    Array.init (3 * tt) (fun i ->
+        let k = shift.(i / 3) in
+        let rshift = min (max k 0) 62 in
+        match i mod 3 with
+        | 0 -> (1 lsl rshift) lsr 1
+        | 1 -> rshift
+        | _ -> left_shift ~wino_bits k)
+  in
+  Option.iter (fun m -> invalid_arg ("Tapwise.pack: " ^ m)) (scatter_range_error l);
   (* One pass over the weights for both per-tap decisions.  The range
      proof: the scatter clamps every activation to |a| ≤ 2^(wino_bits-1)
      and C starts at zero, so every prefix sum of tap [tap], column [co]
@@ -437,7 +487,7 @@ let pack l =
     done
   done;
   { layer = l; panel; tap_off; paired; acc_bits; cout_p; sparse; tap_density;
-    sbg; rshift; half; lshift }
+    sbg; rq }
 
 let packed_layer p = p.layer
 let paired p = p.paired
@@ -450,15 +500,18 @@ let sparse_tap_count p =
     0 p.sparse
 
 (* Production path: the same integer pipeline run by the shared
-   tap-major loop ({!Twq_winograd.Kernels.tap_major}) — transform +
-   per-tap requantize each tile once, run one register-tiled int GEMM per
-   tap ({!Twq_winograd.Microkernel}) against the packed pre-quantized
-   Winograd weights (paired, wide or compressed, as [pack] decided),
-   rescale with [S_BG], back-transform, requantize with [s_y].  Integer
-   addition is associative and the paired lanes are proven not to
-   overflow, so every GEMM stays bit-identical to [forward_int_ref].  Writes into the caller-provided
-   [out] and applies [epilogue] in the gather store, so the planner can
-   fuse requant/ReLU/residual-add into this single output pass. *)
+   tap-major loop ({!Twq_winograd.Kernels.tap_major}) — the generated
+   engine ({!Tile_engines}) transforms, requantizes and
+   clamps each (tile, cin) window once, one register-tiled int GEMM per
+   tap ({!Twq_winograd.Microkernel}) runs against the packed
+   pre-quantized Winograd weights (paired, wide or compressed, as
+   [pack] decided), and the generated gather rescales with [S_BG] and
+   back-transforms before the [s_y] requant.  Integer addition is
+   associative and the paired lanes are proven not to overflow, so
+   every GEMM stays bit-identical to [forward_int_ref].  Writes into the
+   caller-provided [out] and applies [epilogue] in the gather store, so
+   the planner can fuse requant/ReLU/residual-add into this single
+   output pass. *)
 let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
   let l = p.layer in
   let { variant; act_bits; wino_bits; _ } = l.config in
@@ -476,10 +529,10 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
     || Itensor.dim out 2 <> ho || Itensor.dim out 3 <> wo
   then invalid_arg "Tapwise.forward_int_into: out shape mismatch";
   let od = out.Itensor.data in
-  let kf = Kernels.f32_specialized variant in
+  let scatter = Tile_engines.scatter variant in
+  let gather = Tile_engines.gather variant in
   let sbg = p.sbg and panel = p.panel and tap_off = p.tap_off in
-  let paired = p.paired in
-  let rshift = p.rshift and half = p.half and lshift = p.lshift in
+  let paired = p.paired and rq = p.rq in
   (* Clamp bounds and the output scale, hoisted so the per-element
      loops below are pure unboxed arithmetic (no allocating calls). *)
   let w_hi = (1 lsl (wino_bits - 1)) - 1 in
@@ -493,48 +546,43 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
   Kernels.tap_major Kernels.i32_lane Kernels.f32_lane
     (Kernels.i32_specialized variant)
     ~panels:tt ~pad ~x:x_int.Itensor.data ~n ~cin ~h ~w ~cout
-    (* Per-tap requant, bit-identical to [requant_tap] and branch-free
-       on the value: [s] is the sign mask, so the round-half-away shift
-       runs on |v| and the sign is restored after.  The clamp stays a
-       branch: saturation is rare and predicts well. *)
-    ~scatter:(fun xt v vbase stride ->
-      for tap = 0 to tt - 1 do
-        let vv = xt.(tap) in
-        let s = vv asr 62 in
-        let shifted =
-          (((((vv lxor s) - s + half.(tap)) asr rshift.(tap)) lxor s) - s)
-          lsl lshift.(tap)
-        in
-        v.(vbase + (tap * stride)) <-
-          (if shifted > w_hi then w_hi
-           else if shifted < w_lo then w_lo
-           else shifted)
-      done)
-    (* int2b accumulation over input channels, exact and
-       order-independent.  Taps whose packed panel came out below the
-       sparse threshold run the compressed-column driver — bit-identical,
-       it only skips exact zeros; the dense taps of a layer whose range
-       proof held run two products per word, bit-identical within the
-       proven bound. *)
-    ~weights:(Kernels.Gemm (fun tap rows_p v vo mo co ->
-      match p.sparse.(tap) with
-      | Some sp ->
-          Microkernel.gemm_i32_sparse ~mr ~rows_p ~sp ~vp:v ~vo ~c:mo ~co
-            ~cstride:cout_p
-      | None when paired ->
-          Microkernel.gemm_i32_pair ~mr ~nr ~kc ~rows_p ~cols_p:cout_p ~k:cin
-            ~vp:v ~vo ~up:panel ~uo:tap_off.(tap) ~c:mo ~co ~cstride:cout_p
-      | None ->
-          Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p:cout_p ~k:cin
-            ~vp:v ~vo ~up:panel ~uo:tap_off.(tap) ~c:mo ~co ~cstride:cout_p))
-    (* Single S_BG rescale, float back-transform, requantize. *)
-    ~gather:(fun mo off stride yw yo ftmp obase rh rw ->
+    ~weights:
+      (Kernels.Packed
+         {
+           (* int2b accumulation over input channels, exact and
+              order-independent.  Taps whose packed panel came out below
+              the sparse threshold run the compressed-column driver —
+              bit-identical, it only skips exact zeros; the dense taps of
+              a layer whose range proof held run two products per word,
+              bit-identical within the proven bound.  Every driver writes
+              its slab block. *)
+           gemm =
+             (fun tap rows_p v vo mo co ->
+               match p.sparse.(tap) with
+               | Some sp ->
+                   Microkernel.gemm_i32_sparse ~mr ~rows_p ~sp ~vp:v ~vo ~c:mo
+                     ~co ~cstride:cout_p
+               | None when paired ->
+                   Microkernel.gemm_i32_pair ~mr ~nr ~kc ~rows_p ~cols_p:cout_p
+                     ~k:cin ~vp:v ~vo ~up:panel ~uo:tap_off.(tap) ~c:mo ~co
+                     ~cstride:cout_p
+               | None ->
+                   Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p:cout_p ~k:cin
+                     ~vp:v ~vo ~up:panel ~uo:tap_off.(tap) ~c:mo ~co
+                     ~cstride:cout_p);
+           (* Transform, per-tap requant and clamp of one window,
+              bit-identical to [Transform.input_tile_int] then
+              [requant_tap]; neither the round-shift nor the clamp
+              branches on the value. *)
+           scatter =
+             (fun src soff rs v vbase stride ->
+               scatter src soff rs v vbase stride rq w_lo w_hi);
+         })
+    (* Single S_BG rescale and float back-transform in the generated
+       gather, then the requantizing store. *)
+    ~gather:(fun mo off stride _ yo _ obase rh rw ->
       for co = 0 to cout - 1 do
-        let sbase = co * tt in
-        for tap = 0 to tt - 1 do
-          yw.(tap) <- float_of_int mo.(off + (tap * stride) + co) *. sbg.(sbase + tap)
-        done;
-        kf.Kernels.output yw 0 yo 0 ftmp;
+        gather mo (off + co) stride sbg (co * tt) yo;
         let bias_v =
           match l.bias with None -> 0.0 | Some b -> b.Tensor.data.(co)
         in
@@ -545,7 +593,9 @@ let forward_int_into ?(epilogue = Kernels.no_epilogue) p x_int ~out =
                the float stays unboxed: saturate first, then truncate and
                round half away from zero by comparing the exact fraction,
                which needs no call to [Float.round] and no branch on the
-               sign.  NaN fails both range tests and truncates to 0. *)
+               sign.  NaN fails both range tests and truncates to 0; the
+               saturation stays a branch to keep that and the ±inf
+               rails. *)
             let x = (yo.(yrow + dx) +. bias_v) /. s_y in
             let q =
               if x >= a_hi_f then a_hi

@@ -118,13 +118,32 @@ val pack : layer -> packed
     no result (the capped shifts already round to 0 and saturate) but
     keeps the shift inside the machine word.
 
+    {e The scatter's pre-clamp range.}  A transformed input tap is at
+    most [2^(act_bits−1) · G] in magnitude, where [G] is the square of
+    the largest row L1 norm of the variant's integer Bᵀ
+    ([Transform.bt_scaled_int]; 4, 100 and 3600 for F2, F4, F6), and the
+    left shift multiplies it by [2^lshift].  [pack] proves
+    [2^(act_bits−1) · G · 2^lshift < 2^61] for every tap.  Within that
+    bound the shift cannot wrap the word, and the differences
+    [z − hi] and [z − lo] of the generated scatter's branch-free clamp
+    cannot overflow (the clamp bounds are below 2^61 for any
+    [wino_bits ≤ 62]).  A layer that fails it raises [Invalid_argument]
+    naming the tap and the widths ({!scatter_range_error});
+    [Serialize] refuses such a layer at load.
+
     The gather rescales each accumulator once, by [s_b·s_g] folded
     here.  That equals the oracle's [(acc·s_b)·s_g] bit for bit only
     when [s_g] is a power of two, which {!calibrate} and
     {!Serialize} guarantee; [pack] checks every weight tap scale with
     [Float.frexp] anyway.
     @raise Invalid_argument naming the tap if a weight tap scale is not
-    a power of two. *)
+    a power of two, or naming the tap and both widths if the scatter's
+    range proof fails. *)
+
+val scatter_range_error : layer -> string option
+(** [Some reason] when some tap breaks {!pack}'s scatter range proof
+    [2^(act_bits−1) · G · 2^lshift < 2^61], naming the tap, the variant
+    and the widths; [None] when every tap meets it. *)
 
 val packed_layer : packed -> layer
 (** The underlying layer (scales, bias, config). *)
@@ -156,9 +175,20 @@ val forward_int_into :
     planner arena buffer) and applies [epilogue] inside the gather store
     — requant to [s_y], then optional saturating residual add and ReLU,
     all in one pass over the output.  Bit-identical to running
-    {!forward_int} followed by the separate elementwise ops.  No
-    per-element requantization (the per-tap input shift, the output
-    rounding, the epilogue) branches on the sign of a value. *)
+    {!forward_int} followed by the separate elementwise ops.
+
+    The input transform, per-tap requant and clamp of each (tile, cin)
+    window run in the generated {!Tile_engines.scatter},
+    reading interior tiles in place; the S_BG rescale and output
+    transform of each (tile, cout) in {!Tile_engines.gather}.  No
+    per-element requantization (the per-tap input shift and clamp, the
+    output rounding, the epilogue) branches on the value; only the
+    output saturation does, to keep NaN → 0 and the ±inf rails.
+
+    Input contract: every element of the input lies in
+    [\[−2^(act_bits−1), 2^(act_bits−1)−1\]], as [Quantizer.quantize] at
+    [act_bits] produces.  {!pack}'s range proof assumes it; outside it
+    the result is unspecified. *)
 
 val forward_int : layer -> Twq_tensor.Itensor.t -> Twq_tensor.Itensor.t
 (** int8 NCHW in → int8 NCHW out (requantized with [s_y]).  Runs the

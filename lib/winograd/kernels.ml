@@ -18,8 +18,10 @@
    weights, and outputs gather back through the inverse transform.  The
    callers ([conv2d_f32], [conv2d_i32_exact] here, [Rns.conv2d] and
    [Tapwise.forward_int_into]) differ only in three typed hooks —
-   scatter, GEMM, gather.  All staging lives in per-domain scratch
-   arenas, one set per element type — the tile loop allocates nothing.
+   scatter, GEMM, gather; [Tapwise]'s scatter and gather are the
+   generated [Twq_quant.Tile_engines].  All staging lives in per-domain
+   scratch arenas, one set per element type — the tile loop allocates
+   nothing.
 
    The per-panel GEMMs run through [Microkernel]: both operands are
    packed into register-block panels (tiles MR-packed during scatter,
@@ -44,6 +46,7 @@ type 'a kernel = {
   tile : int;
   mout : int;
   input : 'a array -> int -> 'a array -> int -> 'a array -> unit;
+  window : 'a array -> int -> int -> 'a array -> 'a array -> unit;
   weight : 'a array -> int -> 'a array -> int -> 'a array -> unit;
   output : 'a array -> int -> 'a array -> int -> 'a array -> unit;
 }
@@ -78,12 +81,13 @@ let[@inline] epilogue_store e dst off v =
   dst.(off) <- (if e.relu then v land lnot (v asr 62) else v)
 
 (* Apply [step] as the sandwich t_m · x · t_mᵀ: stage 1 maps the columns
-   of the square [inner×inner] source into [tmp] ([rows×inner]), stage 2
-   maps the rows of [tmp] into the [rows×rows] destination.  Identical
-   pairing and ordering to the two matmuls of the generic path. *)
-let sandwich ~rows ~inner (step : 'a step) src soff dst doff tmp =
+   of the square [inner×inner] source (rows [rs] apart) into [tmp]
+   ([rows×inner]), stage 2 maps the rows of [tmp] into the [rows×rows]
+   destination.  Identical pairing and ordering to the two matmuls of
+   the generic path. *)
+let sandwich ~rows ~inner (step : 'a step) src soff rs dst doff tmp =
   for j = 0 to inner - 1 do
-    step src (soff + j) inner tmp j inner
+    step src (soff + j) rs tmp j inner
   done;
   for i = 0 to rows - 1 do
     step tmp (i * inner) 1 dst (doff + (i * rows)) 1
@@ -406,12 +410,18 @@ let at6_i : int step =
 (* ---------- kernel records ---------- *)
 
 let make ~t ~m ~r ~bt ~g ~at =
+  let dense ~rows ~inner step src soff dst doff tmp =
+    sandwich ~rows ~inner step src soff inner dst doff tmp
+  in
   {
     tile = t;
     mout = m;
-    input = sandwich ~rows:t ~inner:t bt;
-    weight = sandwich ~rows:t ~inner:r g;
-    output = sandwich ~rows:m ~inner:t at;
+    input = dense ~rows:t ~inner:t bt;
+    window =
+      (fun src soff rs dst tmp ->
+        sandwich ~rows:t ~inner:t bt src soff rs dst 0 tmp);
+    weight = dense ~rows:t ~inner:r g;
+    output = dense ~rows:m ~inner:t at;
   }
 
 let f2_f32 = make ~t:4 ~m:2 ~r:3 ~bt:bt2_f ~g:g2_f ~at:at2_f
@@ -547,7 +557,6 @@ type 'a lane = {
   zero : 'a;
   load : 'a array -> h:int -> w:int -> base:int -> pad:int -> h0:int ->
     w0:int -> t:int -> 'a array -> unit;
-  copy : int -> 'a array -> int -> int -> 'a array -> int -> int -> unit;
   gemm : mr:int -> nr:int -> kc:int -> rows_p:int -> cols_p:int -> k:int ->
     vp:'a array -> vo:int -> up:'a array -> uo:int -> c:'a array -> co:int ->
     cstride:int -> unit;
@@ -559,23 +568,39 @@ type 'a lane = {
   s_u : 'a P.Scratch.arena;
 }
 
-let lane zero load copy gemm =
+let lane zero load gemm =
   let arena () = P.Scratch.create zero in
-  { zero; load; copy; gemm; s_tile = arena (); s_xt = arena ();
+  { zero; load; gemm; s_tile = arena (); s_xt = arena ();
     s_tmp = arena (); s_v = arena (); s_mo = arena (); s_u = arena () }
 
-let f32_lane = lane 0.0 load_tile_f copy_f Microkernel.gemm_f32
-let i32_lane = lane 0 load_tile_i copy_i Microkernel.gemm_i32
+let f32_lane = lane 0.0 load_tile_f Microkernel.gemm_f32
+let i32_lane = lane 0 load_tile_i Microkernel.gemm_i32
 
 type 'a put = 'a array -> 'a array -> int -> int -> unit
+
+type 'a scatter = 'a array -> int -> int -> 'a array -> int -> int -> unit
 
 type ('a, 'g) gather =
   'a array -> int -> int -> 'g array -> 'g array -> 'g array -> int -> int ->
   int -> unit
 
 type 'a weights =
-  | Filters of 'a array
-  | Gemm of (int -> int -> 'a array -> int -> 'a array -> int -> unit)
+  | Filters of 'a array * 'a put
+  | Packed of {
+      gemm : int -> int -> 'a array -> int -> 'a array -> int -> unit;
+      scatter : 'a scatter;
+    }
+
+(* Transform one (tile, ci) window into the MR-packed panels.  With
+   [Filters], [k.window] transforms it into the lane's [xt] scratch and
+   the same [put] that spread the filters spreads it; a [Packed] caller
+   brings its own fused engine. *)
+let scatter_window k weights src soff rs xt tmp v vbase stride =
+  match weights with
+  | Filters (_, put) ->
+      k.window src soff rs xt tmp;
+      put xt v vbase stride
+  | Packed { scatter; _ } -> scatter src soff rs v vbase stride
 
 (* Weights are NR-packed —
    [u.(p·cin·cout_p + ((jb·cin + ci)·nr + jr))] with [co = jb·nr+jr] and
@@ -608,21 +633,22 @@ let block_of ~total =
 (* Per block of output tiles, with both GEMM operands in register-block
    panels (see Microkernel):
 
-   - scatter: each (tile, ci) is loaded zero-padded and input-transformed,
-     and the hook spreads it over the MR-packed panels —
-     [v.(p·tb·cin + ((ib·cin + ci)·mr + ir))] with [bidx = ib·mr+ir];
-     pad rows of a trailing partial block are zeroed so their products
-     are exact zeros;
-   - one GEMM per panel accumulates into the [tb × cout_p] slab of [mo]
-     in ascending [ci] — per (tile, tap, co) the same left fold as the
-     tile-major oracle;
+   - scatter: [scatter_window] transforms each (tile, ci) window and
+     spreads it over the MR-packed panels —
+     [v.(p·tb·cin + ((ib·cin + ci)·mr + ir))] with [bidx = ib·mr+ir].  A tile whose window lies inside the input
+     is read in place, rows [w] apart; a border tile's window is first
+     staged zero-padded in the lane's tile buffer (rows [t] apart).  Pad
+     rows of a trailing partial block are zeroed so their products are
+     exact zeros;
+   - one GEMM per panel writes the [tb × cout_p] slab of [mo] (C := A·B,
+     so the slab needs no zero-fill), summing in ascending [ci] — per
+     (tile, tap, co) the same left fold as the tile-major oracle;
    - gather: the hook reads each tile's [cout_p]-strided row of every
      slab (never the pad columns) and writes its output crop.
 
    All staging lives in the lanes' per-domain arenas: the loop allocates
    nothing per tile. *)
-let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~scatter
-    ~gather () =
+let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~gather () =
   let t = k.tile and m = k.mout in
   let r = t - m + 1 and tt = t * t in
   let ho, wo = Shape.conv2d_out ~h ~w ~kh:r ~kw:r ~stride:1 ~pad in
@@ -631,10 +657,10 @@ let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~scatter
   let ucincp = cin * cout_p in
   let gemm =
     match weights with
-    | Gemm g -> g
-    | Filters f ->
-        (* Transformed once per call, through the scatter hook, into a
-           panel every weight worker writes. *)
+    | Packed { gemm; _ } -> gemm
+    | Filters (f, put) ->
+        (* Transformed once per call, through [put], into a panel every
+           weight worker writes. *)
         let u = P.Scratch.borrow la.s_u (panels * ucincp) in
         pack_into la ~panels ~cin ~cout u (fun co ci dst base stride ->
             let g = P.Scratch.borrow la.s_tile (r * r) in
@@ -642,7 +668,7 @@ let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~scatter
             let tmp = P.Scratch.borrow la.s_tmp (t * r) in
             Array.blit f (((co * cin) + ci) * r * r) g 0 (r * r);
             k.weight g 0 wt 0 tmp;
-            scatter wt dst base stride);
+            put wt dst base stride);
         fun p rows_p v vo c co ->
           la.gemm ~mr ~nr ~kc ~rows_p ~cols_p:cout_p ~k:cin ~vp:v ~vo ~up:u
             ~uo:(p * ucincp) ~c ~co ~cstride:cout_p
@@ -666,12 +692,19 @@ let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~scatter
         let tidx = b0 + bidx in
         let ni = tidx / tiles_per_img and rest = tidx mod tiles_per_img in
         let h0 = rest / n_tw * m and w0 = rest mod n_tw * m in
+        let top = h0 - pad and left = w0 - pad in
+        let interior = top >= 0 && left >= 0 && top + t <= h && left + t <= w in
         let ib = bidx / mr and ir = bidx mod mr in
         for ci = 0 to cin - 1 do
-          la.load x ~h ~w ~base:(((ni * cin) + ci) * h * w) ~pad ~h0 ~w0 ~t
-            tile;
-          k.input tile 0 xt 0 tmp;
-          scatter xt v ((((ib * cin) + ci) * mr) + ir) tbcin
+          let base = ((ni * cin) + ci) * h * w in
+          let vbase = (((ib * cin) + ci) * mr) + ir in
+          if interior then
+            scatter_window k weights x (base + (top * w) + left) w xt tmp v
+              vbase tbcin
+          else begin
+            la.load x ~h ~w ~base ~pad ~h0 ~w0 ~t tile;
+            scatter_window k weights tile 0 t xt tmp v vbase tbcin
+          end
         done
       done;
       for bidx = bs to bs_p - 1 do
@@ -683,7 +716,6 @@ let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~scatter
           done
         done
       done;
-      Array.fill mo 0 (panels * slab) la.zero;
       for p = 0 to panels - 1 do
         gemm p bs_p v (p * tbcin) mo (p * slab)
       done;
@@ -703,9 +735,9 @@ let tap_major la lg k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights ~scatter
 (* ---------- convolution drivers ---------- *)
 
 (* The plain convolutions: dense GEMM over the transformed filters, the
-   caller's typed scatter, and its typed gather, given the output buffer
-   and its [ho]/[wo]. *)
-let conv2d_plain name la k ~pad ~xs ~x ~ws ~w ~scatter ~gather =
+   caller's typed [put] for both filters and input tiles, and its typed
+   gather, given the output buffer and its [ho]/[wo]. *)
+let conv2d_plain name la k ~pad ~xs ~x ~ws ~w ~put ~gather =
   let n = xs.(0) and cin = xs.(1) and h = xs.(2) and wd = xs.(3) in
   let cout = ws.(0) and r = k.tile - k.mout + 1 in
   if ws.(1) <> cin then invalid_arg (name ^ ": channel mismatch");
@@ -714,7 +746,7 @@ let conv2d_plain name la k ~pad ~xs ~x ~ws ~w ~scatter ~gather =
   let ho, wo = Shape.conv2d_out ~h ~w:wd ~kh:r ~kw:r ~stride:1 ~pad in
   let od = Array.make (n * cout * ho * wo) la.zero in
   tap_major la la k ~panels:(k.tile * k.tile) ~pad ~x ~n ~cin ~h ~w:wd ~cout
-    ~weights:(Filters w) ~scatter ~gather:(gather od ho wo) ();
+    ~weights:(Filters (w, put)) ~gather:(gather od ho wo) ();
   ([| n; cout; ho; wo |], od)
 
 let conv2d_f32 k ~pad ~x ~w =
@@ -722,7 +754,7 @@ let conv2d_f32 k ~pad ~x ~w =
   let shape, data =
     conv2d_plain "Kernels.conv2d_f32" f32_lane k ~pad ~xs:x.Tensor.shape
       ~x:x.Tensor.data ~ws:w.Tensor.shape ~w:w.Tensor.data
-      ~scatter:(fun xt dst base stride -> copy_f tt xt 0 1 dst base stride)
+      ~put:(fun xt dst base stride -> copy_f tt xt 0 1 dst base stride)
       ~gather:(fun od ho wo mo off stride yw yo tmp obase rh rw ->
         for co = 0 to cout - 1 do
           copy_f tt mo (off + co) stride yw 0 1;
@@ -743,7 +775,7 @@ let conv2d_i32_exact k ~scale2 ~pad ~x ~w =
     conv2d_plain "Kernels.conv2d_i32_exact" i32_lane k ~pad
       ~xs:x.Itensor.shape ~x:x.Itensor.data ~ws:w.Itensor.shape
       ~w:w.Itensor.data
-      ~scatter:(fun xt dst base stride -> copy_i tt xt 0 1 dst base stride)
+      ~put:(fun xt dst base stride -> copy_i tt xt 0 1 dst base stride)
       ~gather:(fun od ho wo mo off stride yw yo tmp obase rh rw ->
         for co = 0 to cout - 1 do
           copy_i tt mo (off + co) stride yw 0 1;

@@ -9,9 +9,11 @@
     per-tap [tiles × cin] panels, each tap runs one flat GEMM against the
     [cin × cout] transformed weights, and results are gathered back through
     the inverse transform.  One loop, {!tap_major}, does this for every
-    Winograd convolution in the library.  It performs zero per-tile
-    allocation; workers stage everything in per-domain
-    {!Twq_util.Parallel.Scratch} arenas, one set per element type.
+    Winograd convolution in the library; the quantized tap-wise layer
+    plugs the generated whole-tile engines of [Twq_quant.Tile_engines]
+    into it instead of these records.  It performs zero per-tile allocation;
+    workers stage everything in per-domain {!Twq_util.Parallel.Scratch}
+    arenas, one set per element type.
 
     Numerical contract: the float kernels reproduce the generic
     [Ops.matmul] sandwich ({!Transform.input_tile} and friends) operation
@@ -34,6 +36,11 @@ type 'a kernel = {
       (** [input src soff dst doff tmp] — Bᵀ·x·B.  Reads a row-major [t×t]
           tile at [soff], writes [t×t] taps at [doff].  [tmp] is caller
           scratch of at least [t·t]; [dst]/[tmp]/[src] must not alias. *)
+  window : 'a array -> int -> int -> 'a array -> 'a array -> unit;
+      (** [window src soff rs dst tmp] — {!input} over a [t×t] window
+          whose rows are [rs] apart ([src.(soff + dy·rs + dx)]); writes
+          the [t×t] taps at [dst.(0)].  [input src soff dst 0 tmp] is
+          [window src soff t dst tmp]. *)
   weight : 'a array -> int -> 'a array -> int -> 'a array -> unit;
       (** [weight src soff dst doff tmp] — G·f·Gᵀ.  Reads [r×r], writes
           [t×t]; [tmp] at least [t·r]. *)
@@ -104,25 +111,36 @@ val i32_of_mats :
     One loop runs every tap-major Winograd convolution in the library —
     {!conv2d_f32}, {!conv2d_i32_exact}, [Rns.conv2d] and
     [Tapwise.forward_int_into].  It owns the tile grid, the tile blocks
-    and their partition over the domain pool, the MR-packed input panels
-    (pad rows zeroed), the GEMM slab, one GEMM per panel and the NR
-    weight packing; the caller supplies three typed hooks — scatter,
-    GEMM, gather — so no float ever passes through the generic code. *)
+    and their partition over the domain pool, the interior/border
+    decision per tile, the zero-padded staging of border windows, the
+    MR-packed input panels (pad rows zeroed), the GEMM slab, one GEMM
+    per panel and the NR weight packing; the caller supplies three typed
+    hooks — scatter, GEMM, gather — so no float ever passes through the
+    generic code. *)
 
 type 'a lane
-(** The element type of the packed panels: its zero, a typed tile
-    loader, strided copy and dense GEMM, and one per-domain scratch arena
-    per staging buffer. *)
+(** The element type of the packed panels: its zero, a typed
+    zero-padding tile loader and dense GEMM, and one per-domain scratch
+    arena per staging buffer. *)
 
 val f32_lane : float lane
 val i32_lane : int lane
 
 type 'a put = 'a array -> 'a array -> int -> int -> unit
-(** [put src dst base stride] — the scatter hook.  [src] holds one
-    transformed [t×t] tile (row-major taps); the hook writes panel [p]'s
-    value at [dst.(base + p·stride)] for each of its panels (one per tap,
-    or one per (modulus, tap)).  The loop calls it per (tile, cin) for
-    inputs and, for {!Filters}, per (cout, cin) for the weights. *)
+(** [put src dst base stride] spreads one transformed tile.  [src]
+    holds one transformed [t×t] tile (row-major taps); the hook writes
+    panel [p]'s value at [dst.(base + p·stride)] for each of its panels
+    (one per tap, or one per (modulus, tap)).  With {!Filters} the loop
+    calls it per (cout, cin) for the weights and, after
+    {!field-window}, per (tile, cin) for the inputs. *)
+
+type 'a scatter = 'a array -> int -> int -> 'a array -> int -> int -> unit
+(** [scatter src soff rs v vbase stride] — a fused scatter engine,
+    called once per (tile, cin).  The tile's [t×t] input window is
+    [src.(soff + dy·rs + dx)]: the input itself (rows [w] apart) when
+    the window lies inside it, else the lane's tile buffer, where the
+    loop staged it zero-padded (rows [t] apart).  The engine transforms
+    it and writes panel [p]'s value at [v.(vbase + p·stride)]. *)
 
 type ('a, 'g) gather =
   'a array -> int -> int -> 'g array -> 'g array -> 'g array -> int -> int ->
@@ -137,16 +155,21 @@ type ('a, 'g) gather =
     [(co, dy, dx)] is at [obase + (co·ho + dy)·wo + dx]. *)
 
 type 'a weights =
-  | Filters of 'a array
+  | Filters of 'a array * 'a put
       (** [\[cout; cin; r; r\]] spatial filters, transformed by the
-          kernel's [weight] and packed through the scatter hook on every
-          call, into a per-domain arena; the per-panel GEMMs are [lane]'s
-          dense GEMM against that panel *)
-  | Gemm of (int -> int -> 'a array -> int -> 'a array -> int -> unit)
-      (** the caller's own per-panel GEMM over weights it packed itself:
+          kernel's [weight] and spread by the [put] on every call, into a
+          per-domain arena; the per-panel GEMMs are [lane]'s dense GEMM
+          against that panel *)
+  | Packed of {
+      gemm : int -> int -> 'a array -> int -> 'a array -> int -> unit;
+      scatter : 'a scatter;
+    }
+      (** the caller's own per-panel GEMM over weights it packed itself,
+          and its own fused {!scatter} engine for the input windows:
           [gemm p rows_p v vo mo co] runs panel [p] (A panel at
           [v.(vo)], C at [mo.(co)], row stride
-          [cout_p = round_up cout nr]) *)
+          [cout_p = round_up cout nr]) and must write every element of
+          its [rows_p × cout_p] block: the slab is not zeroed *)
 
 val tap_major :
   'a lane ->
@@ -161,19 +184,22 @@ val tap_major :
   w:int ->
   cout:int ->
   weights:'a weights ->
-  scatter:'a put ->
   gather:('a, 'g) gather ->
   unit ->
   unit
 (** [tap_major lane glane k ~panels ~pad ~x ~n ~cin ~h ~w ~cout ~weights
-    ~scatter ~gather ()] runs a stride-1 convolution of the NCHW input
-    data [x] ([\[n; cin; h; w\]]) tap-major: per block of output tiles,
-    each (tile, cin) is loaded with zero padding, transformed by
-    [k.input] and scattered into [panels] MR-packed panels of [lane];
-    one GEMM per panel accumulates into a [tiles × cout_p] slab; and
-    [gather] turns each tile's slab rows into outputs, using [glane]'s
-    scratch.  [weights] supplies the per-panel GEMMs (see {!weights}).
-    Results do not depend on the block size or the domain count. *)
+    ~gather ()] runs a stride-1 convolution of the NCHW input data [x]
+    ([\[n; cin; h; w\]]) tap-major: per block of output tiles, each
+    (tile, cin) window — read in place for an interior tile, staged
+    zero-padded for a border tile — is transformed into [panels]
+    MR-packed panels of [lane] ({!Filters}' [put] after
+    {!field-window}, or the {!Packed} scatter engine); one GEMM per
+    panel writes a [tiles × cout_p] slab (C := A·B); and [gather] turns
+    each tile's slab rows into outputs, using [glane]'s scratch.
+    [weights] supplies the scatter and the per-panel GEMMs (see
+    {!weights}).  Only [k.tile] and
+    [k.mout] shape the loop, plus [k.weight] for {!Filters}.  Results do
+    not depend on the block size or the domain count. *)
 
 val conv2d_f32 :
   float kernel ->

@@ -25,14 +25,15 @@
      folded into one int, [lane 2p + (lane 2p+1) lsl 32] — element
      (k, p) of panel jb at [jb·K·NR/2 + k·NR/2 + p].  Only for operands
      whose sums are proven to fit 31 bits (see [gemm_i32_pair]).
-   - C: row-major [rows_p × cstride] with [cstride ≥ cols_p]; the
-     MR×NR block at (ib·MR, jb·NR) is updated in place.
+   - C: row-major [rows_p × cstride] with [cstride ≥ cols_p]; every
+     driver writes its [rows_p × cols_p] block, C := A·B, and never
+     reads what the block held before.
 
-   Numerical contract: every C element is a left fold over ascending k —
-   the kernels load the current C value into the accumulator, add
-   products in ascending-k order, and store once.  Splitting K into KC
-   panels therefore does not change the association: the fold simply
-   resumes from the stored partial.  This is exactly the accumulation
+   Numerical contract: every C element is a left fold over ascending k
+   from zero — the first KC panel starts its accumulators at zero, adds
+   products in ascending-k order and stores once; every later panel
+   loads the stored partial and resumes.  Splitting K into KC panels
+   therefore does not change the association.  This is exactly the accumulation
    order of the naive triple loop, so the integer kernels are
    bit-identical and the float kernels are IEEE-identical up to the sign
    of zeros (the tile-major float oracle's [Ops.matmul] skips products
@@ -80,32 +81,40 @@ let check_block name field v expected =
 
 (* ------------------------------------------------------------- kernels *)
 
-(* [kf_4x4 v vo u uo kn c o0 cs] / [ki_4x4 ...]: 4×4 block update.
-   [vo]/[uo] point at the k=0 element of the A/B panel slice, [o0] at
-   C's top-left element of the block, [cs] is C's row stride, [kn] the
-   panel depth. *)
+(* [kf_4x4 v vo u uo kn c o0 cs first] / [ki_4x4 ...]: 4×4 block
+   update.  [vo]/[uo] point at the k=0 element of the A/B panel slice,
+   [o0] at C's top-left element of the block, [cs] is C's row stride,
+   [kn] the panel depth.  The first KC panel ([first]) starts its
+   accumulators at zero, so C's previous contents are never read; later
+   panels resume from the stored partial. *)
+
+let[@inline] ldf first (c : float array) o =
+  if first then 0.0 else Array.unsafe_get c o
+
+let[@inline] ldi first (c : int array) o =
+  if first then 0 else Array.unsafe_get c o
 
 let kf_4x4 (v : float array) vo (u : float array) uo kn (c : float array) o0 cs
-    =
+    first =
   let o1 = o0 + cs in
   let o2 = o1 + cs in
   let o3 = o2 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c20 = ref (Array.unsafe_get c o2)
-  and c21 = ref (Array.unsafe_get c (o2 + 1))
-  and c22 = ref (Array.unsafe_get c (o2 + 2))
-  and c23 = ref (Array.unsafe_get c (o2 + 3))
-  and c30 = ref (Array.unsafe_get c o3)
-  and c31 = ref (Array.unsafe_get c (o3 + 1))
-  and c32 = ref (Array.unsafe_get c (o3 + 2))
-  and c33 = ref (Array.unsafe_get c (o3 + 3)) in
+  let c00 = ref (ldf first c o0)
+  and c01 = ref (ldf first c (o0 + 1))
+  and c02 = ref (ldf first c (o0 + 2))
+  and c03 = ref (ldf first c (o0 + 3))
+  and c10 = ref (ldf first c o1)
+  and c11 = ref (ldf first c (o1 + 1))
+  and c12 = ref (ldf first c (o1 + 2))
+  and c13 = ref (ldf first c (o1 + 3))
+  and c20 = ref (ldf first c o2)
+  and c21 = ref (ldf first c (o2 + 1))
+  and c22 = ref (ldf first c (o2 + 2))
+  and c23 = ref (ldf first c (o2 + 3))
+  and c30 = ref (ldf first c o3)
+  and c31 = ref (ldf first c (o3 + 1))
+  and c32 = ref (ldf first c (o3 + 2))
+  and c33 = ref (ldf first c (o3 + 3)) in
   for k = 0 to kn - 1 do
     let a = vo + (k * 4) and b = uo + (k * 4) in
     let a0 = Array.unsafe_get v a
@@ -150,26 +159,26 @@ let kf_4x4 (v : float array) vo (u : float array) uo kn (c : float array) o0 cs
   Array.unsafe_set c (o3 + 2) !c32;
   Array.unsafe_set c (o3 + 3) !c33
 
-let ki_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
+let ki_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs first =
   let o1 = o0 + cs in
   let o2 = o1 + cs in
   let o3 = o2 + cs in
-  let c00 = ref (Array.unsafe_get c o0)
-  and c01 = ref (Array.unsafe_get c (o0 + 1))
-  and c02 = ref (Array.unsafe_get c (o0 + 2))
-  and c03 = ref (Array.unsafe_get c (o0 + 3))
-  and c10 = ref (Array.unsafe_get c o1)
-  and c11 = ref (Array.unsafe_get c (o1 + 1))
-  and c12 = ref (Array.unsafe_get c (o1 + 2))
-  and c13 = ref (Array.unsafe_get c (o1 + 3))
-  and c20 = ref (Array.unsafe_get c o2)
-  and c21 = ref (Array.unsafe_get c (o2 + 1))
-  and c22 = ref (Array.unsafe_get c (o2 + 2))
-  and c23 = ref (Array.unsafe_get c (o2 + 3))
-  and c30 = ref (Array.unsafe_get c o3)
-  and c31 = ref (Array.unsafe_get c (o3 + 1))
-  and c32 = ref (Array.unsafe_get c (o3 + 2))
-  and c33 = ref (Array.unsafe_get c (o3 + 3)) in
+  let c00 = ref (ldi first c o0)
+  and c01 = ref (ldi first c (o0 + 1))
+  and c02 = ref (ldi first c (o0 + 2))
+  and c03 = ref (ldi first c (o0 + 3))
+  and c10 = ref (ldi first c o1)
+  and c11 = ref (ldi first c (o1 + 1))
+  and c12 = ref (ldi first c (o1 + 2))
+  and c13 = ref (ldi first c (o1 + 3))
+  and c20 = ref (ldi first c o2)
+  and c21 = ref (ldi first c (o2 + 1))
+  and c22 = ref (ldi first c (o2 + 2))
+  and c23 = ref (ldi first c (o2 + 3))
+  and c30 = ref (ldi first c o3)
+  and c31 = ref (ldi first c (o3 + 1))
+  and c32 = ref (ldi first c (o3 + 2))
+  and c33 = ref (ldi first c (o3 + 3)) in
   for k = 0 to kn - 1 do
     let a = vo + (k * 4) and b = uo + (k * 4) in
     let a0 = Array.unsafe_get v a
@@ -220,12 +229,13 @@ let ki_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
    products and one add accumulates both sums.  OCaml ints wrap mod
    2^63, so the packed accumulator always equals [lo_sum + hi_sum·2^32]
    mod 2^63; when [lo_sum] fits 32 signed bits and [hi_sum] 31, the
-   split in [store_pair] recovers both exactly.  C is packed on load
-   and split on store, so the KC-panel seam works like the wide
+   split in [store_pair] recovers both exactly.  A partial is packed on
+   load and split on store, so the KC-panel seam works like the wide
    kernel's as long as every stored partial is in range. *)
 
-let load_pair (c : int array) o =
-  Array.unsafe_get c o + (Array.unsafe_get c (o + 1) lsl 32)
+let[@inline] load_pair first (c : int array) o =
+  if first then 0
+  else Array.unsafe_get c o + (Array.unsafe_get c (o + 1) lsl 32)
 
 (* [lo] is the low 32 bits sign-extended; [x − lo] is then exactly
    [hi·2^32]. *)
@@ -234,22 +244,23 @@ let store_pair (c : int array) o x =
   Array.unsafe_set c o lo;
   Array.unsafe_set c (o + 1) ((x - lo) asr 32)
 
-(* [kp_4x4 v vo u uo kn c o0 cs]: the 4×4 block update of [ki_4x4] with
-   B paired — [uo] points at the k=0 pair of a [K × NR/2] panel, and
-   each k step is 8 multiply-adds into 8 packed accumulators instead of
-   16 into 16. *)
-let kp_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
+(* [kp_4x4 v vo u uo kn c o0 cs first]: the 4×4 block update of
+   [ki_4x4] with B paired — [uo] points at the k=0 pair of a
+   [K × NR/2] panel, and each k step is 8 multiply-adds into 8 packed
+   accumulators instead of 16 into 16. *)
+let kp_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs
+    first =
   let o1 = o0 + cs in
   let o2 = o1 + cs in
   let o3 = o2 + cs in
-  let c00 = ref (load_pair c o0)
-  and c01 = ref (load_pair c (o0 + 2))
-  and c10 = ref (load_pair c o1)
-  and c11 = ref (load_pair c (o1 + 2))
-  and c20 = ref (load_pair c o2)
-  and c21 = ref (load_pair c (o2 + 2))
-  and c30 = ref (load_pair c o3)
-  and c31 = ref (load_pair c (o3 + 2)) in
+  let c00 = ref (load_pair first c o0)
+  and c01 = ref (load_pair first c (o0 + 2))
+  and c10 = ref (load_pair first c o1)
+  and c11 = ref (load_pair first c (o1 + 2))
+  and c20 = ref (load_pair first c o2)
+  and c21 = ref (load_pair first c (o2 + 2))
+  and c30 = ref (load_pair first c o3)
+  and c31 = ref (load_pair first c (o3 + 2)) in
   for k = 0 to kn - 1 do
     let a = vo + (k * 4) and b = uo + (k * 2) in
     let a0 = Array.unsafe_get v a
@@ -277,18 +288,26 @@ let kp_4x4 (v : int array) vo (u : int array) uo kn (c : int array) o0 cs =
 
 (* ------------------------------------------------------ blocked driver *)
 
-(* [gemm ~mr ~nr ~kc ~rows_p ~cols_p ~k ...] updates the [rows_p × cols_p]
-   block of C (row stride [cstride]) in place with A·B over the packed
-   panels.  The k dimension is processed in [kc]-deep cache panels: for
-   each panel the [kc × NR] weight sub-panel is swept by every tile
-   panel before the next NR block is touched, so it stays L1-resident
-   across the ib loop.  C carries the partial sums between panels. *)
+(* [gemm ~mr ~nr ~kc ~rows_p ~cols_p ~k ...] writes A·B over the packed
+   panels to the [rows_p × cols_p] block of C (row stride [cstride]):
+   C := A·B, whatever C held before.  The k dimension is processed in
+   [kc]-deep cache panels: for each panel the [kc × NR] weight
+   sub-panel is swept by every tile panel before the next NR block is
+   touched, so it stays L1-resident across the ib loop.  The first
+   panel stores, later panels resume from C's partial sums.  With
+   [k = 0] the product is the zero block. *)
+
+let zero_block (c : 'a array) ~co ~cstride ~rows_p ~cols_p (z : 'a) =
+  for i = 0 to rows_p - 1 do
+    Array.fill c (co + (i * cstride)) cols_p z
+  done
 
 let gemm_f32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : float array) ~vo
     ~(up : float array) ~uo ~(c : float array) ~co ~cstride =
   check_block "gemm_f32" "mr" mr block.mr;
   check_block "gemm_f32" "nr" nr block.nr;
   let nib = rows_p / 4 and njb = cols_p / 4 in
+  if k = 0 then zero_block c ~co ~cstride ~rows_p ~cols_p 0.0;
   let k0 = ref 0 in
   while !k0 < k do
     let kn = min kc (k - !k0) in
@@ -298,6 +317,7 @@ let gemm_f32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : float array) ~vo
       for ib = 0 to nib - 1 do
         let vb = vo + (ib * k * 4) + (!k0 * 4) in
         kf_4x4 vp vb up ub kn c (cjb + (ib * 4 * cstride)) cstride
+          (!k0 = 0)
       done
     done;
     k0 := !k0 + kn
@@ -308,6 +328,7 @@ let gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : int array) ~vo
   check_block "gemm_i32" "mr" mr block.mr;
   check_block "gemm_i32" "nr" nr block.nr;
   let nib = rows_p / 4 and njb = cols_p / 4 in
+  if k = 0 then zero_block c ~co ~cstride ~rows_p ~cols_p 0;
   let k0 = ref 0 in
   while !k0 < k do
     let kn = min kc (k - !k0) in
@@ -317,6 +338,7 @@ let gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : int array) ~vo
       for ib = 0 to nib - 1 do
         let vb = vo + (ib * k * 4) + (!k0 * 4) in
         ki_4x4 vp vb up ub kn c (cjb + (ib * 4 * cstride)) cstride
+          (!k0 = 0)
       done
     done;
     k0 := !k0 + kn
@@ -338,6 +360,7 @@ let gemm_i32_pair ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : int array) ~vo
   check_block "gemm_i32_pair" "mr" mr block.mr;
   check_block "gemm_i32_pair" "nr" nr block.nr;
   let nib = rows_p / 4 and njb = cols_p / 4 in
+  if k = 0 then zero_block c ~co ~cstride ~rows_p ~cols_p 0;
   let k0 = ref 0 in
   while !k0 < k do
     let kn = min kc (k - !k0) in
@@ -347,6 +370,7 @@ let gemm_i32_pair ~mr ~nr ~kc ~rows_p ~cols_p ~k ~(vp : int array) ~vo
       for ib = 0 to nib - 1 do
         let vb = vo + (ib * k * 4) + (!k0 * 4) in
         kp_4x4 vp vb up ub kn c (cjb + (ib * 4 * cstride)) cstride
+          (!k0 = 0)
       done
     done;
     k0 := !k0 + kn
@@ -418,20 +442,18 @@ let sparse_nnz sp = sp.sp_off.(sp.sp_cols)
 
 (* ------------------------------------------------------ sparse kernels *)
 
-(* [ks_4 v vo idx vals i0 i1 c o0 cs]: 4×1 compressed-column update.
+(* [ks_4 v vo idx vals i0 i1 c o0 cs]: 4×1 compressed-column store.
    Entries [i0, i1) of the compacted arrays belong to one output column;
    [vo] points at k = 0 of the A panel slice (stride 4 per k), [o0] at
-   the column's top C element, [cs] is C's row stride. *)
+   the column's top C element, [cs] is C's row stride.  An empty run
+   stores zeros. *)
 
 let ks_4 (v : int array) vo (idx : int array) (vals : int array) i0 i1
     (c : int array) o0 cs =
   let o1 = o0 + cs in
   let o2 = o1 + cs in
   let o3 = o2 + cs in
-  let c0 = ref (Array.unsafe_get c o0)
-  and c1 = ref (Array.unsafe_get c o1)
-  and c2 = ref (Array.unsafe_get c o2)
-  and c3 = ref (Array.unsafe_get c o3) in
+  let c0 = ref 0 and c1 = ref 0 and c2 = ref 0 and c3 = ref 0 in
   for i = i0 to i1 - 1 do
     let a = vo + (Array.unsafe_get idx i * 4) in
     let b = Array.unsafe_get vals i in
@@ -445,12 +467,13 @@ let ks_4 (v : int array) vo (idx : int array) (vals : int array) i0 i1
   Array.unsafe_set c o2 !c2;
   Array.unsafe_set c o3 !c3
 
-(* [gemm_i32_sparse] updates the [rows_p × sp.sp_cols] block of C in
-   place with A·B over the packed A panels and the compressed B panel.
-   The A panel of each row block (k·MR ints) stays L1-resident while
-   every column's compacted run streams past it; empty columns cost one
-   offset compare.  No KC blocking — the compacted pairs are visited
-   once per row block in ascending-k order, preserving the dense fold. *)
+(* [gemm_i32_sparse] writes A·B over the packed A panels and the
+   compressed B panel to the [rows_p × sp.sp_cols] block of C.  The A
+   panel of each row block (k·MR ints) stays L1-resident while every
+   column's compacted run streams past it; an empty column stores
+   zeros, so no stale C value survives.  No KC blocking — the compacted
+   pairs are visited once per row block in ascending-k order,
+   preserving the dense fold. *)
 let gemm_i32_sparse ~mr ~rows_p ~(sp : sparse) ~(vp : int array) ~vo
     ~(c : int array) ~co ~cstride =
   check_block "gemm_i32_sparse" "mr" mr block.mr;
@@ -462,6 +485,6 @@ let gemm_i32_sparse ~mr ~rows_p ~(sp : sparse) ~(vp : int array) ~vo
     let crow = co + (ib * 4 * cstride) in
     for j = 0 to sp.sp_cols - 1 do
       let i0 = Array.unsafe_get off j and i1 = Array.unsafe_get off (j + 1) in
-      if i1 > i0 then ks_4 vp vb idx vals i0 i1 c (crow + j) cstride
+      ks_4 vp vb idx vals i0 i1 c (crow + j) cstride
     done
   done

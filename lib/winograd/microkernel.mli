@@ -15,14 +15,18 @@
       [(k, lane)] of panel [ib] lives at [ib·K·MR + k·MR + lane].
     - B (weights): [ceil(cols/NR)] consecutive [K × NR] panels; element
       [(k, lane)] of panel [jb] lives at [jb·K·NR + k·NR + lane].
-    - C: row-major with row stride [cstride ≥ cols_p], updated in place.
+    - C: row-major with row stride [cstride ≥ cols_p].  Every driver
+      writes its [rows_p × cols_p] block, C := A·B, without reading
+      what the block held: callers need not zero it.  Elements outside
+      the block are left alone.
 
     Pad lanes of A and B must be zero: the corresponding C elements then
     compute exact zeros and callers simply never read them.
 
     Numerical contract: each C element is a left fold over ascending [k]
-    seeded from C's current value, so KC-panel splitting does not change
-    the association. The integer kernels are bit-identical to the naive
+    from zero — the first KC panel starts at zero, later panels resume
+    from the stored partial — so KC-panel splitting does not change the
+    association. The integer kernels are bit-identical to the naive
     triple loop; the float kernels are IEEE-identical up to the sign of
     zeros (the tile-major float oracle's [Ops.matmul] skips zero left
     operands, the kernels do not). *)
@@ -66,11 +70,12 @@ val gemm_f32 :
   cstride:int ->
   unit
 (** [gemm_f32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp ~vo ~up ~uo ~c ~co
-    ~cstride] accumulates the [rows_p × cols_p] product of the packed
-    panels at [vp+vo] / [up+uo] into [c] starting at [co]. [rows_p] and
-    [cols_p] must be multiples of [mr] and [nr] respectively; [k] is
-    processed in [kc]-deep panels. Raises [Invalid_argument] unless
-    [mr] and [nr] match {!config}. *)
+    ~cstride] writes the [rows_p × cols_p] product of the packed panels
+    at [vp+vo] / [up+uo] into [c] starting at [co] (C := A·B; with
+    [k = 0] the block is zeroed). [rows_p] and [cols_p] must be
+    multiples of [mr] and [nr] respectively; [k] is processed in
+    [kc]-deep panels. Raises [Invalid_argument] unless [mr] and [nr]
+    match {!config}. *)
 
 val gemm_i32 :
   mr:int ->
@@ -99,9 +104,9 @@ val gemm_i32 :
     both products and one add accumulates both. *)
 
 val pair_acc_bits : int
-(** [31]: {!gemm_i32_pair} is exact when every initial C value and
-    every partial sum [C + Σ_{k' ≤ k} A·B] fits this many signed bits,
-    i.e. lies in [\[-2^30, 2^30)]. *)
+(** [31]: {!gemm_i32_pair} is exact when every partial sum
+    [Σ_{k' ≤ k} A·B] fits this many signed bits, i.e. lies in
+    [\[-2^30, 2^30)]. *)
 
 val pair_panel : int array -> so:int -> n:int -> int array -> doff:int -> unit
 (** [pair_panel src ~so ~n dst ~doff] folds the [n] (even) ints of the
@@ -124,12 +129,13 @@ val gemm_i32_pair :
   cstride:int ->
   unit
 (** {!gemm_i32} over a paired B panel at [up+uo] (from {!pair_panel});
-    A and C keep their layouts. C values are packed on load and split
-    exactly on store ([lo = (x lsl 31) asr 31], [hi = (x − lo) asr 32]),
-    so within {!pair_acc_bits} the result is bit-identical to
-    {!gemm_i32} on the wide panel. Outside it the result is wrong:
-    callers must prove the bound first. Raises [Invalid_argument] unless
-    [mr] and [nr] match {!config}. *)
+    A and C keep their layouts, and C is written as by {!gemm_i32}.
+    Partial sums are split exactly on store
+    ([lo = (x lsl 31) asr 31], [hi = (x − lo) asr 32]) and packed again
+    on load at a KC-panel seam, so within {!pair_acc_bits} the result
+    is bit-identical to {!gemm_i32} on the wide panel. Outside it the
+    result is wrong: callers must prove the bound first. Raises
+    [Invalid_argument] unless [mr] and [nr] match {!config}. *)
 
 (** {1 Compressed panels for pruned taps}
 
@@ -167,9 +173,10 @@ val gemm_i32_sparse :
   co:int ->
   cstride:int ->
   unit
-(** [gemm_i32_sparse ~mr ~rows_p ~sp ~vp ~vo ~c ~co ~cstride]
-    accumulates the [rows_p × sp.sp_cols] product of the packed A
-    panels at [vp+vo] and the compressed B panel into [c] at [co] (row
-    stride [cstride]). [rows_p] must be a multiple of [mr]. Bit-identical
-    to {!gemm_i32} on the panel [sp] was compressed from. Raises
-    [Invalid_argument] unless [mr] matches {!config}. *)
+(** [gemm_i32_sparse ~mr ~rows_p ~sp ~vp ~vo ~c ~co ~cstride] writes
+    the [rows_p × sp.sp_cols] product of the packed A panels at [vp+vo]
+    and the compressed B panel into [c] at [co] (row stride [cstride]);
+    a column with no nonzeros stores zeros. [rows_p] must be a multiple
+    of [mr]. Bit-identical to {!gemm_i32} on the panel [sp] was
+    compressed from. Raises [Invalid_argument] unless [mr] matches
+    {!config}. *)

@@ -2,8 +2,8 @@
 
    It runs on the shared tap-major loop [Kernels.tap_major], with one
    panel per (modulus, tap) instead of one per tap, so every panel holds
-   *residues*.  Its three hooks: scatter runs the exact lifted transform
-   once per tile/filter and reduces it into [0, p) for each modulus;
+   *residues*.  Its hooks: one [put] reduces each exact lifted
+   transform (of a tile window or a filter) into [0, p) for each modulus;
    the GEMM is the loop's dense [Microkernel.gemm_i32] per panel, with
    lazy reduction (the plan proves Cin·p² fits); gather runs the output
    transform on residues with Aᵀ mod p, Garner-reconstructs the centered
@@ -360,7 +360,7 @@ let conv2d p ?(epilogue = Kernels.no_epilogue) ?out ?(pad = 0) ~x ~w () =
      pixel's residues and Garner digits. *)
   Kernels.tap_major Kernels.i32_lane Kernels.i32_lane p.ker_int
     ~panels:(nmod * tt) ~pad ~x:x.Itensor.data ~n ~cin ~h ~w:wd ~cout
-    ~weights:(Kernels.Filters w.Itensor.data) ~scatter:residues
+    ~weights:(Kernels.Filters (w.Itensor.data, residues))
     ~gather:(fun mo off stride yw yo tmp obase rh rw ->
       let digits = Some tmp in
       for co = 0 to cout - 1 do

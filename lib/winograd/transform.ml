@@ -163,7 +163,8 @@ let int_sandwich (tm : int array array) (x : Itensor.t) =
   done;
   out
 
-let input_tile_int v x = int_sandwich (scaled_imat (bt_scale v) (bt_rat v)) x
+let bt_scaled_int v = scaled_imat (bt_scale v) (bt_rat v)
+let input_tile_int v x = int_sandwich (bt_scaled_int v) x
 let weight_tile_int_scaled v f = int_sandwich (g_scaled_int v) f
 let output_tile_int v y = int_sandwich (scaled_imat (at_scale v) (at_rat v)) y
 
@@ -188,8 +189,7 @@ let sandwich_bits (tm : int array array) ~bits =
   done;
   !worst
 
-let extra_bits_input v =
-  sandwich_bits (scaled_imat (bt_scale v) (bt_rat v)) ~bits:8 - 8
+let extra_bits_input v = sandwich_bits (bt_scaled_int v) ~bits:8 - 8
 
 let extra_bits_weight v = sandwich_bits (g_scaled_int v) ~bits:8 - 8
 

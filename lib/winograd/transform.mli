@@ -56,6 +56,10 @@ val at_scale : variant -> int
 val g_scaled_int : variant -> int array array
 (** [g_scale · G] as integers. *)
 
+val bt_scaled_int : variant -> int array array
+(** [bt_scale · Bᵀ] as integers — the matrix of the integer input
+    transform ({!input_tile_int}, [Twq_quant.Tile_engines.scatter]). *)
+
 (** {2 Float matrices (as 2-D tensors)} *)
 
 val bt : variant -> Twq_tensor.Tensor.t

@@ -207,7 +207,9 @@ let prop_micro_int_edge =
 (* ------------------------------------ quantized tap-wise forward_int *)
 
 (* Batches up to 3 make the shared loop's tile decode cross image
-   boundaries inside a block. *)
+   boundaries inside a block.  Pads 0..2 and sides 4..20 give every
+   variant, F6's 8×8 windows included, both interior tiles (read in
+   place) and border tiles (staged zero-padded). *)
 let prop_tapwise =
   QCheck2.Test.make ~count:15 ~name:"tap-major forward_int = tile-major ref"
     QCheck2.Gen.(
@@ -218,12 +220,13 @@ let prop_tapwise =
       let rng = Twq_util.Rng.create seed in
       let cin = 1 + Twq_util.Rng.int rng 3
       and cout = 1 + Twq_util.Rng.int rng 3 in
-      let h = 6 + Twq_util.Rng.int rng 8 and wd = 6 + Twq_util.Rng.int rng 8 in
+      let pad = Twq_util.Rng.int rng 3 in
+      let h = 4 + Twq_util.Rng.int rng 17 and wd = 4 + Twq_util.Rng.int rng 17 in
       let w = Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.5 in
       let bias = Tensor.rand_gaussian rng [| cout |] ~mu:0.0 ~sigma:0.1 in
       let samples = [ tensor_of_rng rng [| 1; cin; h; wd |] ] in
       let config = { (Tapwise.default_config v) with Tapwise.granularity = gran } in
-      let l = Tapwise.calibrate ~config ~w ~bias ~sample_inputs:samples ~pad:1 () in
+      let l = Tapwise.calibrate ~config ~w ~bias ~sample_inputs:samples ~pad () in
       let x = tensor_of_rng rng [| n; cin; h; wd |] in
       let xi =
         Quantizer.quantize_tensor ~bits:config.Tapwise.act_bits ~scale:l.Tapwise.s_x x
@@ -255,7 +258,8 @@ let reference_epilogue ~relu ~add v off =
 (* The fused gather store of [Tapwise.forward_int_into] against the
    tile-major oracle followed by [reference_epilogue]: random ReLU and an
    optional residual add with shifts 0..2, every variant and
-   granularity, batches up to 3, 1 or 4 domains. *)
+   granularity, pads 0..2 and sides 4..20 (interior and border tiles),
+   batches up to 3, 1 or 4 domains. *)
 let prop_tapwise_epilogue =
   QCheck2.Test.make ~count:30
     ~name:"tap-major forward_int_into ~epilogue = ref then epilogue"
@@ -267,12 +271,13 @@ let prop_tapwise_epilogue =
       let rng = Twq_util.Rng.create seed in
       let cin = 1 + Twq_util.Rng.int rng 4
       and cout = 1 + Twq_util.Rng.int rng 6 in
-      let h = 5 + Twq_util.Rng.int rng 9 and wd = 5 + Twq_util.Rng.int rng 9 in
+      let pad = Twq_util.Rng.int rng 3 in
+      let h = 4 + Twq_util.Rng.int rng 17 and wd = 4 + Twq_util.Rng.int rng 17 in
       let w = Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.5 in
       let bias = Tensor.rand_gaussian rng [| cout |] ~mu:0.0 ~sigma:0.1 in
       let samples = [ tensor_of_rng rng [| 1; cin; h; wd |] ] in
       let config = { (Tapwise.default_config v) with Tapwise.granularity = gran } in
-      let l = Tapwise.calibrate ~config ~w ~bias ~sample_inputs:samples ~pad:1 () in
+      let l = Tapwise.calibrate ~config ~w ~bias ~sample_inputs:samples ~pad () in
       let xi =
         Quantizer.quantize_tensor ~bits:config.Tapwise.act_bits ~scale:l.Tapwise.s_x
           (tensor_of_rng rng [| n; cin; h; wd |])
@@ -300,6 +305,118 @@ let prop_tapwise_epilogue =
           Tapwise.forward_int_into ~epilogue:{ Kernels.relu; add } (Tapwise.pack l) xi
             ~out:got);
       got.Itensor.data = want)
+
+(* Both scatter rails, forced.  Inputs sit on the act_bits rails and
+   every tap scale is shrunk by 2^1..2^6 below the calibrated one, so
+   the engine's branch-free clamp saturates taps at both [hi] and [lo];
+   the property also checks, from [Transform.input_tile_int] and the
+   oracle's [requant_tap] arithmetic, that both rails were reached. *)
+let prop_tapwise_scatter_rails =
+  QCheck2.Test.make ~count:20 ~name:"tap-major scatter clamps both rails like ref"
+    QCheck2.Gen.(tup3 variant_gen (oneofl [ 8; 10 ]) seed_gen)
+    (fun (v, wino_bits, seed) ->
+      let rng = Twq_util.Rng.create seed in
+      let cin = 1 + Twq_util.Rng.int rng 3 and cout = 1 + Twq_util.Rng.int rng 3 in
+      let pad = Twq_util.Rng.int rng 3 in
+      let h = 6 + Twq_util.Rng.int rng 13 and wd = 6 + Twq_util.Rng.int rng 13 in
+      let w = Tensor.rand_gaussian rng [| cout; cin; 3; 3 |] ~mu:0.0 ~sigma:0.5 in
+      let config = { (Tapwise.default_config v) with Tapwise.wino_bits } in
+      let l =
+        Tapwise.calibrate ~config ~w
+          ~sample_inputs:[ tensor_of_rng rng [| 1; cin; h; wd |] ] ~pad ()
+      in
+      let t = Transform.t v in
+      let shrink = Array.init t (fun _ -> Array.init t (fun _ -> 1 + Twq_util.Rng.int rng 6)) in
+      let s_b =
+        Array.mapi
+          (fun i row -> Array.mapi (fun j s -> Float.ldexp s (-shrink.(i).(j))) row)
+          l.Tapwise.s_b
+      in
+      let l = { l with Tapwise.s_b } in
+      let a = config.Tapwise.act_bits in
+      let xi =
+        Itensor.init [| 2; cin; h; wd |] (fun _ ->
+            if Twq_util.Rng.bool rng then (1 lsl (a - 1)) - 1 else -(1 lsl (a - 1)))
+      in
+      let hi = (1 lsl (wino_bits - 1)) - 1 in
+      let s_from =
+        l.Tapwise.s_x /. float_of_int (Transform.bt_scale v * Transform.bt_scale v)
+      in
+      let m = Transform.m v in
+      let ho = h + (2 * pad) - 2 and wo = wd + (2 * pad) - 2 in
+      let rails = ref (false, false) in
+      for ni = 0 to 1 do
+        for ci = 0 to cin - 1 do
+          for th = 0 to (ho - 1) / m do
+            for tw = 0 to (wo - 1) / m do
+              let tile =
+                Itensor.init [| t; t |] (fun idx ->
+                    let y = (th * m) + idx.(0) - pad and x = (tw * m) + idx.(1) - pad in
+                    if y < 0 || y >= h || x < 0 || x >= wd then 0
+                    else Itensor.get4 xi ni ci y x)
+              in
+              let xt = Transform.input_tile_int v tile in
+              for i = 0 to t - 1 do
+                for j = 0 to t - 1 do
+                  let k = int_of_float (Float.round (Float.log2 (s_b.(i).(j) /. s_from))) in
+                  let y = Itensor.get2 xt i j in
+                  let q = if k >= 0 then Itensor.round_shift y k else y lsl min (-k) wino_bits in
+                  let up, down = !rails in
+                  rails := (up || q > hi, down || q < -hi - 1)
+                done
+              done
+            done
+          done
+        done
+      done;
+      let got = Tapwise.forward_int l xi in
+      !rails = (true, true) && Itensor.equal got (Tapwise.forward_int_ref l xi))
+
+(* The scatter's pre-clamp range proof at its edge.  F4's integer Bᵀ
+   has largest row L1 norm 10, so G = 100 and at act_bits = 30 the
+   proof 2^29 · 100 · 2^lshift < 2^61 holds up to lshift = 25 and fails
+   at 26.  The layer at the bound (one tap scale 2^-25·s_x, inputs on
+   both act_bits rails, wino_bits = 30) must match the oracle; one more
+   bit of left shift must be refused at pack. *)
+let scatter_bound_layer ~lshift =
+  let rng = Twq_util.Rng.create 31 in
+  let cin = 2 and cout = 3 in
+  let config =
+    { (Tapwise.default_config Transform.F4) with Tapwise.act_bits = 30; wino_bits = 30 }
+  in
+  let s_b = Array.init 6 (fun i -> Array.init 6 (fun j -> Float.ldexp 1.0 ((i + j) mod 4))) in
+  s_b.(2).(3) <- Float.ldexp 1.0 (-lshift);
+  let wq =
+    Itensor.init [| cout; cin; 6; 6 |] (fun _ -> Twq_util.Rng.int rng 31 - 15)
+  in
+  {
+    Tapwise.config;
+    pad = 1;
+    s_x = 1.0;
+    s_w = 1.0;
+    s_y = Float.ldexp 1.0 8;
+    s_b;
+    s_g = Array.make_matrix 6 6 (Float.ldexp 1.0 (-4));
+    s_g_channel = None;
+    wq;
+    bias = None;
+  }
+
+let test_scatter_range_bound () =
+  let l = scatter_bound_layer ~lshift:25 in
+  let rng = Twq_util.Rng.create 32 in
+  let xi =
+    Itensor.init [| 2; 2; 9; 7 |] (fun _ ->
+        if Twq_util.Rng.bool rng then (1 lsl 29) - 1 else -(1 lsl 29))
+  in
+  let want = Tapwise.forward_int_ref l xi in
+  Alcotest.(check bool) "at the bound: forward_int = ref" true
+    (Itensor.equal (Tapwise.forward_int l xi) want);
+  Alcotest.check_raises "one bit over: refused"
+    (Invalid_argument
+       "Tapwise.pack: tap (2,3) of F4 can reach 2^29 · 100 · 2^26 >= 2^61 \
+        before its clamp (act_bits = 30, wino_bits = 30)")
+    (fun () -> ignore (Tapwise.pack (scatter_bound_layer ~lshift:26)))
 
 (* Exact halves in the output store.  With pow2 scales every gather
    value is an integer multiple of the smallest s_b·s_g, so an output
@@ -360,15 +477,17 @@ let prop_qconv_store_ties =
 
 (* ---------------------------------- microkernel GEMM drivers *)
 
-(* Driver-level fold order at the one register block: both GEMM drivers
-   must reproduce a naive ascending-k triple loop seeded from C, with k
+(* Driver-level fold order at the one register block: every GEMM driver
+   writes C := A·B, so it must reproduce a naive ascending-k triple loop
+   from zero whatever C held before.  C is prefilled with garbage, k runs
    up to 150 against kc drawn from 8..64 so most runs cross one or more
-   KC-panel seams, and a C row stride wider than the packed panel. *)
-let naive_gemm ~add ~mul ~rows_p ~cols_p ~k ~vp ~up ~c ~cstride =
+   KC-panel seams, and C's row stride is wider than the packed panel:
+   the columns past the panel must keep their garbage. *)
+let naive_gemm ~zero ~add ~mul ~rows_p ~cols_p ~k ~vp ~up ~c ~cstride =
   let { Microkernel.mr; nr; _ } = Microkernel.config () in
   for i = 0 to rows_p - 1 do
     for j = 0 to cols_p - 1 do
-      let acc = ref c.((i * cstride) + j) in
+      let acc = ref zero in
       for kk = 0 to k - 1 do
         let a = vp.((((i / mr * k) + kk) * mr) + (i mod mr))
         and b = up.((((j / nr * k) + kk) * nr) + (j mod nr)) in
@@ -377,6 +496,9 @@ let naive_gemm ~add ~mul ~rows_p ~cols_p ~k ~vp ~up ~c ~cstride =
       c.((i * cstride) + j) <- !acc
     done
   done
+
+(* A stale arena value: anything up to ±2^40. *)
+let garbage rng = Twq_util.Rng.int rng (1 lsl 41) - (1 lsl 40)
 
 let prop_gemm_drivers =
   QCheck2.Test.make ~count:80
@@ -392,17 +514,15 @@ let prop_gemm_drivers =
       let cstride = cols_p + 1 + Twq_util.Rng.int rng 5 in
       let vi = Array.init (rows_p * k) (fun _ -> Twq_util.Rng.int rng 255 - 127)
       and ui = Array.init (cols_p * k) (fun _ -> Twq_util.Rng.int rng 255 - 127)
-      and ci =
-        Array.init (rows_p * cstride) (fun _ -> Twq_util.Rng.int rng 2001 - 1000)
-      in
+      and ci = Array.init (rows_p * cstride) (fun _ -> garbage rng) in
       let vf = Array.map (fun x -> float_of_int x /. 7.0) vi
       and uf = Array.map (fun x -> float_of_int x /. 13.0) ui
-      and cf = Array.map (fun x -> float_of_int x /. 3.0) ci in
+      and cf = Array.map (fun x -> float_of_int x *. 1e9) ci in
       let ci_want = Array.copy ci and cf_want = Array.copy cf in
-      naive_gemm ~add:( + ) ~mul:( * ) ~rows_p ~cols_p ~k ~vp:vi ~up:ui
-        ~c:ci_want ~cstride;
-      naive_gemm ~add:( +. ) ~mul:( *. ) ~rows_p ~cols_p ~k ~vp:vf ~up:uf
-        ~c:cf_want ~cstride;
+      naive_gemm ~zero:0 ~add:( + ) ~mul:( * ) ~rows_p ~cols_p ~k ~vp:vi
+        ~up:ui ~c:ci_want ~cstride;
+      naive_gemm ~zero:0.0 ~add:( +. ) ~mul:( *. ) ~rows_p ~cols_p ~k ~vp:vf
+        ~up:uf ~c:cf_want ~cstride;
       Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp:vi ~vo:0 ~up:ui
         ~uo:0 ~c:ci ~co:0 ~cstride;
       Microkernel.gemm_f32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp:vf ~vo:0 ~up:uf
@@ -549,9 +669,10 @@ let with_sparse_threshold t f =
   Fun.protect ~finally:(fun () -> Microkernel.set_sparse_threshold saved) f
 
 (* Driver-level bit-identity: a random NR-packed B panel at a random
-   density, compressed, must accumulate exactly what the dense driver
-   accumulates — including into a pre-seeded C with a row stride wider
-   than the panel. *)
+   density, compressed, must write exactly the naive product from zero,
+   as the dense driver does, into a C prefilled with garbage whose row
+   stride is wider than the panel.  Density 0.0 leaves every column
+   empty, and sparse panels leave some empty: those must store zeros. *)
 let sparse_gemm_gen =
   QCheck2.Gen.(
     tup4 (int_range 1 40) (int_range 1 24)
@@ -583,27 +704,32 @@ let prop_sparse_gemm =
         done
       done;
       let cstride = cols_p + 3 in
-      let c0 =
-        Array.init (rows_p * cstride) (fun _ -> Twq_util.Rng.int rng 1000 - 500)
-      in
-      let cd = Array.copy c0 and cs = Array.copy c0 in
+      let c0 = Array.init (rows_p * cstride) (fun _ -> garbage rng) in
+      let want = Array.copy c0 and cd = Array.copy c0 and cs = Array.copy c0 in
+      naive_gemm ~zero:0 ~add:( + ) ~mul:( * ) ~rows_p ~cols_p ~k ~vp ~up
+        ~c:want ~cstride;
       Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp ~vo:0 ~up ~uo:0
         ~c:cd ~co:0 ~cstride;
       let sp = Microkernel.compress_panel ~nr ~k ~cols:cols_p up ~uo:0 in
       Microkernel.gemm_i32_sparse ~mr ~rows_p ~sp ~vp ~vo:0 ~c:cs ~co:0
         ~cstride;
-      cd = cs)
+      cd = want && cs = want)
 
 (* ------------------------- paired-lane GEMM vs the one-product driver *)
 
-(* Driver-level bit-identity at the edge of the pairing bound.  Every C
-   value and every prefix sum stays inside ±(2^30 − 1), and the first
-   min(rows, cols) diagonal entries reach it exactly: their A row is
-   ±M·sign(B column) and their initial C the rest of the budget, with
-   the sign flipping every two columns so both lanes see both rails.  k is odd or even,
-   kc is either small (many KC seams) or the production 256 with
-   k > 256, and pad rows and lanes are zero. *)
+(* Driver-level bit-identity at the edge of the pairing bound, from
+   A·B alone (C is prefilled with garbage and must be overwritten).
+   2^30 − 1 = 3²·7·11·31·151·331, so A magnitudes M are drawn as
+   products of a random subset of those factors and every B column's
+   magnitudes sum to at most S = (2^30 − 1)/M: every product and prefix
+   sum then stays inside ±(2^30 − 1).  The first min(rows, cols)
+   columns sum to exactly S and their diagonal A row is ±M·sign(B
+   column), so those diagonal entries reach the rail exactly, with the
+   sign flipping every two columns so both lanes see both rails.  k is
+   odd or even, kc is either small (many KC seams) or the production
+   256 with k > 256, and pad rows and lanes are zero. *)
 let pair_max = (1 lsl 30) - 1
+let pair_max_factors = [ 3; 3; 7; 11; 31; 151; 331 ]
 let rail_sign i = if (i lsr 1) land 1 = 0 then 1 else -1
 
 let prop_pair_gemm =
@@ -619,20 +745,25 @@ let prop_pair_gemm =
       let rows_p = Microkernel.round_up rows mr in
       let cols_p = Microkernel.round_up cols nr in
       let cstride = cols_p + Twq_util.Rng.int rng 4 in
-      let m = 1 + Twq_util.Rng.int rng (1 lsl 16) in
-      let bmax = max 1 (pair_max / (m * k)) in
+      let m =
+        List.fold_left
+          (fun a f -> if Twq_util.Rng.bool rng then a * f else a)
+          1 pair_max_factors
+      in
+      let budget = pair_max / m in
       let up = Array.make (cols_p * k) 0 in
-      let colsum = Array.make cols_p 0 in
       for j = 0 to cols - 1 do
         for kk = 0 to k - 1 do
-          let b = Twq_util.Rng.int rng ((2 * bmax) + 1) - bmax in
-          up.((((j / nr * k) + kk) * nr) + (j mod nr)) <- b;
-          colsum.(j) <- colsum.(j) + abs b
+          let mag =
+            if j < min rows cols then (budget / k) + Bool.to_int (kk < budget mod k)
+            else Twq_util.Rng.int rng ((budget / k) + 1)
+          in
+          up.((((j / nr * k) + kk) * nr) + (j mod nr)) <-
+            (if Twq_util.Rng.bool rng then mag else -mag)
         done
       done;
       let b_at kk j = up.((((j / nr * k) + kk) * nr) + (j mod nr)) in
       let vp = Array.make (rows_p * k) 0 in
-      let c = Array.make (rows_p * cstride) 0 in
       for i = 0 to rows - 1 do
         for kk = 0 to k - 1 do
           vp.((((i / mr * k) + kk) * mr) + (i mod mr)) <-
@@ -641,17 +772,12 @@ let prop_pair_gemm =
              else Twq_util.Rng.int rng ((2 * m) + 1) - m)
         done
       done;
-      for i = 0 to rows_p - 1 do
-        for j = 0 to cols_p - 1 do
-          let room = pair_max - (m * colsum.(j)) in
-          c.((i * cstride) + j) <-
-            (if i = j && i < rows then rail_sign i * room
-             else Twq_util.Rng.int rng ((2 * room) + 1) - room)
-        done
-      done;
+      let c = Array.init (rows_p * cstride) (fun _ -> garbage rng) in
       let up_pair = Array.make (cols_p * k / 2) 0 in
       Microkernel.pair_panel up ~so:0 ~n:(cols_p * k) up_pair ~doff:0;
-      let want = Array.copy c and got = Array.copy c in
+      let naive = Array.copy c and want = Array.copy c and got = Array.copy c in
+      naive_gemm ~zero:0 ~add:( + ) ~mul:( * ) ~rows_p ~cols_p ~k ~vp ~up
+        ~c:naive ~cstride;
       Microkernel.gemm_i32 ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp ~vo:0 ~up ~uo:0
         ~c:want ~co:0 ~cstride;
       Microkernel.gemm_i32_pair ~mr ~nr ~kc ~rows_p ~cols_p ~k ~vp ~vo:0
@@ -661,7 +787,7 @@ let prop_pair_gemm =
         if want.((i * cstride) + i) <> rail_sign i * pair_max then
           rails_hit := false
       done;
-      !rails_hit && got = want)
+      !rails_hit && want = naive && got = want)
 
 (* Layer-level: the range proof chooses the kernel.  At wino_bits = 20
    the scatter clamps activations to |a| ≤ 2^19, so the proof holds iff
@@ -885,6 +1011,7 @@ let () =
         prop_tapwise;
         prop_tapwise_epilogue;
         prop_tapwise_store_ties;
+        prop_tapwise_scatter_rails;
         prop_micro_f32_edge;
         prop_micro_int_edge;
         prop_gemm_drivers;
@@ -910,6 +1037,8 @@ let () =
             test_pair_bound;
           Alcotest.test_case "tap shifts beyond the word" `Quick
             test_tap_shift_beyond_word;
+          Alcotest.test_case "scatter range proof at its bound" `Quick
+            test_scatter_range_bound;
         ] );
       ( "sparse",
         [

@@ -271,6 +271,25 @@ let test_serialize_rejects_inexact_tap_scale () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "s_b(0,0) = 4 s_x rejected: %s" e.Serialize.message
 
+(* [Tapwise.pack] proves the scatter's pre-clamp range,
+   2^(act_bits−1)·G·2^lshift < 2^61 per tap (G = 100 for F4).  A layer
+   whose widths and tap scales break it is refused at load, naming the
+   tap, instead of failing later when the graph is packed. *)
+let test_serialize_rejects_scatter_range () =
+  let l = rand_layer 1 in
+  let l =
+    { l with Tapwise.config = { l.Tapwise.config with Tapwise.act_bits = 30; wino_bits = 30 } }
+  in
+  (* s_b = s_x·2^-25: lshift 25 and 2^29·100·2^25 < 2^61. *)
+  let s_b = Array.map (Array.map (fun _ -> Float.ldexp l.Tapwise.s_x (-25))) l.Tapwise.s_b in
+  (match Serialize.layer_of_string_result
+           (Serialize.layer_to_string { l with Tapwise.s_b }) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "lshift 25 rejected: %s" e.Serialize.message);
+  s_b.(2).(3) <- Float.ldexp l.Tapwise.s_x (-26);
+  rejects_naming "lshift 26 at act_bits 30" ~needle:"tap (2,3) of F4"
+    (Serialize.layer_to_string { l with Tapwise.s_b })
+
 (* [Tapwise.pack] folds s_b·s_g into one exact rescale, which needs every
    weight tap scale to be a power of two: a non-pow2 s_g or s_g_channel
    entry is refused at load, naming the tap. *)
@@ -670,6 +689,8 @@ let () =
             test_serialize_rejects_non_pow2_weight_scale;
           Alcotest.test_case "bounds quantized weights" `Quick
             test_serialize_bounds_weights;
+          Alcotest.test_case "rejects scatter past its range" `Quick
+            test_serialize_rejects_scatter_range;
         ] );
       ( "guards",
         [

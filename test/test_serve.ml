@@ -596,6 +596,25 @@ let mutate tag edit text =
 let on_header f lines ~id:_ ~h = lines.(h) <- f lines.(h)
 let on_op f lines ~id:_ ~h = lines.(h + 1) <- f lines.(h + 1)
 
+(* Rewrite the first line at or after the node's op line that starts
+   with [key] (a line of its embedded layer). *)
+let on_layer key f lines ~id:_ ~h =
+  let rec go k = if token 0 lines.(k) = key then lines.(k) <- f lines.(k) else go (k + 1) in
+  go (h + 1)
+
+(* Widths 30/30 and every F4 tap scale s_b = s_x·2^-26: each field is in
+   range, but the left-shifted taps can reach 2^29·100·2^26 >= 2^61,
+   past what [Tapwise.pack] proves.  The s_b grid's rows follow its
+   "6 6" dims line, two lines after "scales". *)
+let wino_past_range lines ~id ~h =
+  on_layer "config" (fun l -> set_token 2 "30" (set_token 3 "30" l)) lines ~id ~h;
+  let rec scales k = if token 0 lines.(k) = "scales" then k else scales (k + 1) in
+  let k = scales (h + 1) in
+  let s_b = Printf.sprintf "%h" (Float.ldexp (float_of_string (token 2 lines.(k))) (-26)) in
+  for row = k + 2 to k + 7 do
+    lines.(row) <- String.concat " " (List.init 6 (fun _ -> s_b)) ^ " "
+  done
+
 (* Line 1 is "meta <nodes> <out>". *)
 let graph_mutations =
   [
@@ -615,6 +634,8 @@ let graph_mutations =
     ("leaky shift 63", "leaky", on_op (set_token 1 "63"));
     ("add shift 63", "add", on_op (set_token 1 "63"));
     ("concat shift -1", "concat", on_op (set_token 2 "-1"));
+    ("wino past its scatter range", "wino", wino_past_range);
+    ("wino narrower than its input", "wino", on_layer "config" (set_token 2 "7"));
   ]
 
 let contains s needle =
