@@ -317,10 +317,17 @@ let read_layer_body r =
   let layer =
     { Tapwise.config; pad; s_x; s_w; s_y; s_b; s_g; s_g_channel; wq; bias }
   in
-  (* The widths and tap scales passed the checks above one by one;
-     together they must still let [Tapwise.pack] prove the scatter's
-     pre-clamp range, or the layer could not be served. *)
+  (* The widths, tap scales and weights passed the checks above one by
+     one; together they must still let [Tapwise.pack] prove the
+     scatter's pre-clamp range and the accumulators' width, or the
+     layer could not be served. *)
   Option.iter (fail_at s_b_start) (Tapwise.scatter_range_error layer);
+  (* Every weight is within wino_bits, so a column sums to at most
+     cin·2^(wino_bits−1): only widths and a cin that could pass the
+     word need the accumulator proof's pass over the weights. *)
+  let widest = Float.ldexp (float_of_int (Itensor.dim wq 1)) (wino_bits - 1) in
+  if wino_bits + snd (Float.frexp widest) > Sys.int_size then
+    Option.iter (fail_at wq_start) (Tapwise.acc_range_error layer);
   layer
 
 (* ------------------------------------------------------- spatial layers *)

@@ -378,6 +378,55 @@ let scatter_range_error l =
   in
   check 0
 
+(* The accumulator range proof.  The scatter clamps every activation to
+   |a| ≤ 2^(wino_bits−1) and C starts at zero, so every prefix sum of
+   tap [tap], column [co] is bounded by
+   2^(wino_bits−1) · Σ_ci |wq(co, ci, tap)|; the worst of these over
+   (tap, co) needs [acc_bits] signed bits.  The sums are taken in
+   floats so that weights from a loaded artifact cannot wrap them: they
+   are exact below 2^53, and any sum that large fails the proof anyway.
+   For an integer s > 0, [Float.frexp s] returns the e with
+   2^(e-1) ≤ s < 2^e.  The same pass counts each tap's nonzero weights
+   for [pack]'s sparse/dense decision. *)
+let weight_stats l =
+  let tt = Transform.t l.config.variant * Transform.t l.config.variant in
+  let cout = Itensor.dim l.wq 0 and cin = Itensor.dim l.wq 1 in
+  let wd = l.wq.Itensor.data in
+  let nnz = Array.make tt 0 and colsum = Array.make tt 0.0 in
+  let wsum_max = ref 0.0 in
+  for co = 0 to cout - 1 do
+    Array.fill colsum 0 tt 0.0;
+    for ci = 0 to cin - 1 do
+      let base = ((co * cin) + ci) * tt in
+      for tap = 0 to tt - 1 do
+        let w = wd.(base + tap) in
+        colsum.(tap) <- colsum.(tap) +. Float.abs (float_of_int w);
+        nnz.(tap) <- nnz.(tap) + Bool.to_int (w <> 0)
+      done
+    done;
+    for tap = 0 to tt - 1 do
+      wsum_max := Float.max !wsum_max colsum.(tap)
+    done
+  done;
+  let acc_bits =
+    if !wsum_max = 0.0 then 1 else l.config.wino_bits + snd (Float.frexp !wsum_max)
+  in
+  (acc_bits, nnz)
+
+(* Past [Sys.int_size] signed bits the GEMM's int accumulators, and the
+   oracle's, would wrap alike. *)
+let acc_error l bits =
+  if bits <= Sys.int_size then None
+  else
+    Some
+      (Printf.sprintf
+         "per-tap accumulators can need %d signed bits > %d (act_bits = \
+          %d, wino_bits = %d, cin = %d)"
+         bits Sys.int_size l.config.act_bits l.config.wino_bits
+         (Itensor.dim l.wq 1))
+
+let acc_range_error l = acc_error l (fst (weight_stats l))
+
 let pack l =
   let { variant; wino_bits; _ } = l.config in
   let t = Transform.t variant in
@@ -413,33 +462,9 @@ let pack l =
         | _ -> left_shift ~wino_bits k)
   in
   Option.iter (fun m -> invalid_arg ("Tapwise.pack: " ^ m)) (scatter_range_error l);
-  (* One pass over the weights for both per-tap decisions.  The range
-     proof: the scatter clamps every activation to |a| ≤ 2^(wino_bits-1)
-     and C starts at zero, so every prefix sum of tap [tap], column [co]
-     is bounded by 2^(wino_bits-1) · Σ_ci |wq(co, ci, tap)|; the worst
-     of these over (tap, co) needs [acc_bits] signed bits.  The sums
-     are taken in floats so that weights from a loaded artifact cannot
-     wrap them: they are exact below 2^53, and any sum that large
-     fails the proof anyway.  For an integer s > 0, [Float.frexp s]
-     returns the e with 2^(e-1) ≤ s < 2^e. *)
+  let acc_bits, nnz = weight_stats l in
+  Option.iter (fun m -> invalid_arg ("Tapwise.pack: " ^ m)) (acc_error l acc_bits);
   let wd = l.wq.Itensor.data in
-  let nnz = Array.make tt 0 and colsum = Array.make tt 0.0 in
-  let wsum_max = ref 0.0 in
-  for co = 0 to cout - 1 do
-    Array.fill colsum 0 tt 0.0;
-    for ci = 0 to cin - 1 do
-      let base = ((co * cin) + ci) * tt in
-      for tap = 0 to tt - 1 do
-        let w = wd.(base + tap) in
-        colsum.(tap) <- colsum.(tap) +. Float.abs (float_of_int w);
-        nnz.(tap) <- nnz.(tap) + Bool.to_int (w <> 0)
-      done
-    done;
-    Array.iter (fun s -> wsum_max := Float.max !wsum_max s) colsum
-  done;
-  let acc_bits =
-    if !wsum_max = 0.0 then 1 else wino_bits + snd (Float.frexp !wsum_max)
-  in
   let paired = acc_bits <= Microkernel.pair_acc_bits in
   (* Sparse/dense is decided per tap against the process-wide
      threshold: density is the nonzero fraction of the tap's weights

@@ -108,6 +108,8 @@ val pack : layer -> packed
       as paired panels only and run [Microkernel.gemm_i32_pair],
       bit-identical to the wide [gemm_i32]; otherwise they keep the
       wide panel and [gemm_i32].  There is no knob: the proof decides.
+      Past [Sys.int_size] (63) bits the int accumulators would wrap, so
+      [pack] refuses such a layer ({!acc_range_error}).
 
     The panels are built one row of the tap grid at a time through a
     reused buffer of [t] wide tap panels, so a paired layer never holds
@@ -137,13 +139,19 @@ val pack : layer -> packed
     {!Serialize} guarantee; [pack] checks every weight tap scale with
     [Float.frexp] anyway.
     @raise Invalid_argument naming the tap if a weight tap scale is not
-    a power of two, or naming the tap and both widths if the scatter's
-    range proof fails. *)
+    a power of two, naming the tap and both widths if the scatter's
+    range proof fails, or naming the widths and [cin] if {!acc_bits}
+    exceeds [Sys.int_size]. *)
 
 val scatter_range_error : layer -> string option
 (** [Some reason] when some tap breaks {!pack}'s scatter range proof
     [2^(act_bits−1) · G · 2^lshift < 2^61], naming the tap, the variant
     and the widths; [None] when every tap meets it. *)
+
+val acc_range_error : layer -> string option
+(** [Some reason] when {!pack}'s accumulator bound needs more than
+    [Sys.int_size] signed bits, naming the bits, both widths and [cin];
+    [None] otherwise.  [Serialize] refuses such a layer at load. *)
 
 val packed_layer : packed -> layer
 (** The underlying layer (scales, bias, config). *)

@@ -3,7 +3,9 @@
     shift-and-add transformation engines (Sec. IV-B1).
 
     The implementation is generated at build time by
-    [gen/gen_engines.ml] from {!Twq_winograd.Transform}'s matrices.  Each
+    [lib/winograd/gen/gen_transforms.ml] (its [engines] output) from
+    {!Twq_winograd.Transform}'s matrices, the same generator that emits
+    [Kernels]' transform steps.  Each
     function keeps one whole tile in locals: no staging arrays, no
     closure call per transform step.
 

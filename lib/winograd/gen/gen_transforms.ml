@@ -1,29 +1,45 @@
-(* Generator of tile_engines.ml, the straight-line transformation
-   engines of the tap-wise integer Winograd path.
+(* Generator of every specialized Winograd transform in the library,
+   all emitted from [Transform]'s exact matrices, so no transform is
+   written out by hand twice.
 
-   Usage: gen_engines.exe > tile_engines.ml
+   Usage: gen_transforms.exe steps   > kernel_steps.ml  (twq_winograd)
+          gen_transforms.exe engines > tile_engines.ml  (twq_quant)
 
-   The twq_quant library runs it on every build (a dune rule), so the
-   engines always match [Transform]'s matrices and are never edited by
-   hand.  It links only twq_winograd and twq_hw, neither of which
-   depends on twq_quant.
+   Both libraries run it on every build (a dune rule).  It links only
+   twq_util and twq_tensor and compiles its own copies of transform.ml
+   and ../hw/dfg.ml, so it depends on neither library it generates for.
 
-   Per variant it emits two functions that keep a whole tile in locals:
+   [steps]: per variant, the 1-D steps [bt], [g], [at] of
+   [Kernels.f32_specialized] and [Kernels.i32_specialized], which apply
+   one matrix to a strided vector; the kernels run each twice as a
+   sandwich.
+
+   - The float steps follow [Ops.matmul]'s accumulation rule over
+     [Rat.to_float] of the matrix, and compute each |c|·x_k product
+     once for every row that uses it.  (−c)·x = −(c·x) and
+     a + (−b) = a − b in IEEE arithmetic, so they equal the matmul
+     sandwich up to the sign of a zero.
+   - The integer steps evaluate the CSE'd shift-add graph
+     ([Dfg.apply_cse]) of the minimally scaled integral matrix
+     ([Transform.bt_scale]·Bᵀ, [g_scale]·G, [at_scale]·Aᵀ).  Integer
+     arithmetic is exact, so they equal the integer sandwiches of
+     [Transform] in any evaluation order.
+
+   [engines]: per variant, two functions of the tap-wise integer path
+   that keep a whole tile in locals:
 
    - [scatter_fN]: the integer input transform Bᵀ·x·B, emitted from the
-     CSE'd shift-add graph ([Dfg.apply_cse]) of the variant's scaled
-     integral Bᵀ ([Transform.bt_scaled_int]), the per-tap sign-mask
-     round-shift, a branch-free clamp, and the t² panel stores.  Integer
-     arithmetic is exact, so any evaluation order equals
-     [Transform.input_tile_int].
+     CSE'd shift-add graph of the variant's scaled integral Bᵀ
+     ([Transform.bt_scaled_int]), the per-tap sign-mask round-shift, a
+     branch-free clamp, and the t² panel stores.  It equals
+     [Transform.input_tile_int] followed by the requantization.
    - [gather_fN]: the per-tap S_BG rescale and the float output
      transform Aᵀ·y·A.  Each sum follows [Ops.matmul]'s accumulation
-     rule — ascending index, left-associated, zero coefficients skipped
-     — so it equals [Transform.output_tile] up to the sign of a zero. *)
+     rule, so it equals [Transform.output_tile] up to the sign of a
+     zero. *)
 
-module T = Twq_winograd.Transform
+module T = Transform
 module Rat = Twq_util.Rat
-module Dfg = Twq_hw.Dfg
 
 let pr = Printf.printf
 
@@ -57,10 +73,10 @@ let float_sum terms =
 
 let tag v = String.lowercase_ascii (T.name v)
 
-(* One 1-D pass y = Bᵀ·x as straight-line lets: the CSE'd shift-add
-   graph ([Dfg.apply_cse]) of the integer Bᵀ, its shared nodes first,
-   then one sum of shifted terms per output.  [input k] names input k,
-   [node k] names shared node k and [out i] output i. *)
+(* One 1-D pass y = M·x of an integer matrix M as straight-line lets:
+   the CSE'd shift-add graph ([Dfg.apply_cse]) of M, its shared nodes
+   first, then one sum of shifted terms per output.  [input k] names
+   input k, [node k] names shared node k and [out i] output i. *)
 let dfg_sum dfg ~input ~node terms =
   let value (t : Dfg.term) =
     assert (t.Dfg.shift >= 0);
@@ -167,9 +183,83 @@ let emit_gather v =
   done;
   pr "  ()\n"
 
-let () =
-  pr "(* Generated at build time by gen/gen_engines.ml from Transform's\n";
-  pr "   matrices. *)\n";
+(* [base + k·stride] as an index expression. *)
+let at base stride k =
+  if k = 0 then base
+  else if k = 1 then Printf.sprintf "%s + %s" base stride
+  else Printf.sprintf "%s + (%d * %s)" base k stride
+
+(* One step of Kernels: y = M·x over [x_k = s.(o + k·st)], writing
+   [y_i] to [d.(q + i·dt)].  [mat] is the exact M; [scale] makes it
+   integral for the integer step. *)
+let emit_step ~float name (mat : Rat.t array array) scale =
+  let ty = if float then "float" else "int" in
+  pr "\nlet %s (s : %s array) o st (d : %s array) q dt =\n" name ty ty;
+  Array.iteri
+    (fun k _ ->
+      if Array.exists (fun row -> not (Rat.is_zero row.(k))) mat then
+        pr "  let x%d = s.(%s) in\n" k (at "o" "st" k))
+    mat.(0);
+  let out i e = pr "  d.(%s) <- %s;\n" (at "q" "dt" i) e in
+  (if float then begin
+     (* Each |c|·x_k with |c| ≠ 1 is bound once, just before the first
+        row that uses it (short live ranges), and every row sums ±x_k
+        or ±product as [float_sum] folds it. *)
+     let prods = Hashtbl.create 16 in
+     let operand k c =
+       let a = Float.abs c in
+       if a = 1.0 then Printf.sprintf "x%d" k
+       else
+         match Hashtbl.find_opt prods (k, a) with
+         | Some p -> p
+         | None ->
+             let p = Printf.sprintf "p%d" (Hashtbl.length prods) in
+             pr "  let %s = %s *. x%d in\n" p (float_lit a) k;
+             Hashtbl.add prods (k, a) p;
+             p
+     in
+     Array.iteri
+       (fun i row ->
+         out i
+           (float_sum
+              (List.init (Array.length row) (fun k ->
+                   let c = Rat.to_float row.(k) in
+                   if c = 0.0 then (0.0, "") else (Float.copy_sign 1.0 c, operand k c)))))
+       mat
+   end
+   else
+     let ints =
+       Array.map (Array.map (fun c -> Rat.to_int_exn (Rat.mul (Rat.of_int scale) c))) mat
+     in
+     emit_pass
+       (Dfg.apply_cse (Dfg.of_matrix (Twq_util.Rmat.of_ints ints)))
+       ~input:(Printf.sprintf "x%d") ~node:(Printf.sprintf "u%d") ~out);
+  pr "  ()\n"
+
+let emit_steps () =
+  pr "(* Generated at build time by lib/winograd/gen/gen_transforms.ml from\n";
+  pr "   Transform's matrices. *)\n";
+  pr "\ntype 'a step = 'a array -> int -> int -> 'a array -> int -> int -> unit\n";
+  List.iter
+    (fun float ->
+      let name v m = Printf.sprintf "%s_%s_%s" (if float then "float" else "int") m (tag v) in
+      List.iter
+        (fun v ->
+          emit_step ~float (name v "bt") (T.bt_rat v) (T.bt_scale v);
+          emit_step ~float (name v "g") (T.g_rat v) (T.g_scale v);
+          emit_step ~float (name v "at") (T.at_rat v) (T.at_scale v))
+        T.all_variants;
+      pr "\nlet %s_steps = function\n" (if float then "float" else "int");
+      List.iter
+        (fun v ->
+          pr "  | Transform.%s -> (%s, %s, %s)\n" (T.name v) (name v "bt") (name v "g")
+            (name v "at"))
+        T.all_variants)
+    [ true; false ]
+
+let emit_engines () =
+  pr "(* Generated at build time by lib/winograd/gen/gen_transforms.ml from\n";
+  pr "   Transform's matrices. *)\n";
   pr "\n";
   pr "module Transform = Twq_winograd.Transform\n";
   pr "\n";
@@ -201,3 +291,11 @@ let () =
   List.iter (fun v -> pr "  | Transform.%s -> scatter_%s\n" (T.name v) (tag v)) T.all_variants;
   pr "\nlet gather = function\n";
   List.iter (fun v -> pr "  | Transform.%s -> gather_%s\n" (T.name v) (tag v)) T.all_variants
+
+let () =
+  match Sys.argv with
+  | [| _; "steps" |] -> emit_steps ()
+  | [| _; "engines" |] -> emit_engines ()
+  | _ ->
+      prerr_endline "usage: gen_transforms.exe (steps | engines)";
+      exit 2

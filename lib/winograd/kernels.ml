@@ -1,16 +1,14 @@
 (* Specialized, allocation-free Winograd kernels.
 
-   Each transform matrix is unrolled into a 1-D "step" applied first to
-   the columns of the source tile and then to the rows of the
-   intermediate — exactly the two matmuls of the generic sandwich.  The
-   float steps keep the reference accumulation order of [Ops.matmul]
-   (ascending index, left-associated, zero rows skipped), restricting
-   common-subexpression sharing to sign-symmetric products and exact
-   power-of-two multiplies, so results match the generic path
-   element-for-element (the sign of a zero is the only tolerated
-   difference).  The integer steps are exact arithmetic, so shift-add
-   decompositions are unconditionally bit-identical to
-   [Transform.int_sandwich].
+   A kernel record applies each transform as the sandwich of a 1-D step:
+   first over the columns of the source tile, then over the rows of the
+   intermediate, exactly the two matmuls of the generic path.  The
+   F2/F4/F6 steps are generated from [Transform]'s matrices
+   ([Kernel_steps]); [f32_of_mats] and [i32_of_mats] compile matrices
+   known only at run time into sparse plans.  Float steps keep
+   [Ops.matmul]'s accumulation order, so they equal the generic sandwich
+   up to the sign of a zero; integer steps are exact, so they equal
+   [Transform.input_tile_int] and its siblings bit for bit.
 
    Every tap-major convolution in the library runs through one loop,
    [tap_major]: tiles are scattered into per-tap [tiles × cin] panels,
@@ -38,9 +36,7 @@ module Tensor = Twq_tensor.Tensor
 module Itensor = Twq_tensor.Itensor
 module Shape = Twq_tensor.Shape
 
-(* A step reads [inner] elements of [src] starting at [soff] with stride
-   [sstride] and writes [rows] results at [doff] with stride [dstride]. *)
-type 'a step = 'a array -> int -> int -> 'a array -> int -> int -> unit
+type 'a step = 'a Kernel_steps.step
 
 type 'a kernel = {
   tile : int;
@@ -93,320 +89,6 @@ let sandwich ~rows ~inner (step : 'a step) src soff rs dst doff tmp =
     step tmp (i * inner) 1 dst (doff + (i * rows)) 1
   done
 
-(* ---------- float steps ---------- *)
-(* Non-dyadic constants below are written exactly as [Rat.to_float]
-   produces them (num /. den); dyadic ones are exact literals. *)
-
-let c1_6 = 1.0 /. 6.0
-let c1_12 = 1.0 /. 12.0
-let c1_24 = 1.0 /. 24.0
-let c2_9 = 2.0 /. 9.0
-let c1_90 = 1.0 /. 90.0
-let c1_45 = 1.0 /. 45.0
-let c2_45 = 2.0 /. 45.0
-let c32_45 = 32.0 /. 45.0
-let c16_45 = 16.0 /. 45.0
-let c8_45 = 8.0 /. 45.0
-
-(* F(2x2,3x3): Bᵀ = [[1,0,-1,0];[0,1,1,0];[0,-1,1,0];[0,1,0,-1]] *)
-let bt2_f : float step =
- fun s o st d q dt ->
-  let x0 = s.(o)
-  and x1 = s.(o + st)
-  and x2 = s.(o + (2 * st))
-  and x3 = s.(o + (3 * st)) in
-  d.(q) <- x0 -. x2;
-  d.(q + dt) <- x1 +. x2;
-  d.(q + (2 * dt)) <- x2 -. x1;
-  d.(q + (3 * dt)) <- x1 -. x3
-
-(* G = [[1,0,0];[1/2,1/2,1/2];[1/2,-1/2,1/2];[0,0,1]] *)
-let g2_f : float step =
- fun s o st d q dt ->
-  let f0 = s.(o) and f1 = s.(o + st) and f2 = s.(o + (2 * st)) in
-  let h0 = 0.5 *. f0 and h1 = 0.5 *. f1 and h2 = 0.5 *. f2 in
-  d.(q) <- f0;
-  d.(q + dt) <- h0 +. h1 +. h2;
-  d.(q + (2 * dt)) <- h0 -. h1 +. h2;
-  d.(q + (3 * dt)) <- f2
-
-(* Aᵀ = [[1,1,1,0];[0,1,-1,-1]] *)
-let at2_f : float step =
- fun s o st d q dt ->
-  let y0 = s.(o)
-  and y1 = s.(o + st)
-  and y2 = s.(o + (2 * st))
-  and y3 = s.(o + (3 * st)) in
-  d.(q) <- y0 +. y1 +. y2;
-  d.(q + dt) <- y1 -. y2 -. y3
-
-(* F(4x4,3x3): Bᵀ rows [4,0,-5,0,1,0]; [0,∓4,-4,±1,1,0]; [0,∓2,-1,±2,1,0];
-   [0,4,0,-5,0,1] *)
-let bt4_f : float step =
- fun s o st d q dt ->
-  let x0 = s.(o)
-  and x1 = s.(o + st)
-  and x2 = s.(o + (2 * st))
-  and x3 = s.(o + (3 * st))
-  and x4 = s.(o + (4 * st))
-  and x5 = s.(o + (5 * st)) in
-  let p1 = 4.0 *. x1 and p2 = 4.0 *. x2 in
-  let q1 = 2.0 *. x1 and q3 = 2.0 *. x3 in
-  d.(q) <- (4.0 *. x0) -. (5.0 *. x2) +. x4;
-  d.(q + dt) <- -.p1 -. p2 +. x3 +. x4;
-  d.(q + (2 * dt)) <- p1 -. p2 -. x3 +. x4;
-  d.(q + (3 * dt)) <- -.q1 -. x2 +. q3 +. x4;
-  d.(q + (4 * dt)) <- q1 -. x2 -. q3 +. x4;
-  d.(q + (5 * dt)) <- p1 -. (5.0 *. x3) +. x5
-
-(* G rows [1/4,0,0]; [∓1/6,∓(±)1/6,∓1/6]; [1/24,±1/12,1/6]; [0,0,1] *)
-let g4_f : float step =
- fun s o st d q dt ->
-  let f0 = s.(o) and f1 = s.(o + st) and f2 = s.(o + (2 * st)) in
-  let a = c1_6 *. f0 and b = c1_6 *. f1 and c = c1_6 *. f2 in
-  let u = c1_24 *. f0 and v = c1_12 *. f1 in
-  d.(q) <- 0.25 *. f0;
-  d.(q + dt) <- -.a -. b -. c;
-  d.(q + (2 * dt)) <- -.a +. b -. c;
-  d.(q + (3 * dt)) <- u +. v +. c;
-  d.(q + (4 * dt)) <- u -. v +. c;
-  d.(q + (5 * dt)) <- f2
-
-(* Aᵀ rows [1,1,1,1,1,0]; [0,1,-1,2,-2,0]; [0,1,1,4,4,0]; [0,1,-1,8,-8,1] *)
-let at4_f : float step =
- fun s o st d q dt ->
-  let y0 = s.(o)
-  and y1 = s.(o + st)
-  and y2 = s.(o + (2 * st))
-  and y3 = s.(o + (3 * st))
-  and y4 = s.(o + (4 * st))
-  and y5 = s.(o + (5 * st)) in
-  let q3 = 2.0 *. y3 and q4 = 2.0 *. y4 in
-  let f3 = 4.0 *. y3 and f4 = 4.0 *. y4 in
-  let e3 = 8.0 *. y3 and e4 = 8.0 *. y4 in
-  d.(q) <- y0 +. y1 +. y2 +. y3 +. y4;
-  d.(q + dt) <- y1 -. y2 +. q3 -. q4;
-  d.(q + (2 * dt)) <- y1 +. y2 +. f3 +. f4;
-  d.(q + (3 * dt)) <- y1 -. y2 +. e3 -. e4 +. y5
-
-(* F(6x6,3x3), Lavin points {0,±1,±2,±1/2}. *)
-let bt6_f : float step =
- fun s o st d q dt ->
-  let x0 = s.(o)
-  and x1 = s.(o + st)
-  and x2 = s.(o + (2 * st))
-  and x3 = s.(o + (3 * st))
-  and x4 = s.(o + (4 * st))
-  and x5 = s.(o + (5 * st))
-  and x6 = s.(o + (6 * st))
-  and x7 = s.(o + (7 * st)) in
-  let p2 = 5.25 *. x2 and p4 = 5.25 *. x4 in
-  let q3 = 4.25 *. x3 and q4 = 4.25 *. x4 in
-  let a1 = 0.5 *. x1
-  and a2 = 0.25 *. x2
-  and a3 = 2.5 *. x3
-  and a4 = 1.25 *. x4
-  and a5 = 2.0 *. x5 in
-  let b1 = 2.0 *. x1
-  and b2 = 4.0 *. x2
-  and b4 = 5.0 *. x4
-  and b5 = 0.5 *. x5 in
-  let s3 = 5.25 *. x3 and s5 = 5.25 *. x5 in
-  d.(q) <- x0 -. p2 +. p4 -. x6;
-  d.(q + dt) <- x1 +. x2 -. q3 -. q4 +. x5 +. x6;
-  d.(q + (2 * dt)) <- -.x1 +. x2 +. q3 -. q4 -. x5 +. x6;
-  d.(q + (3 * dt)) <- a1 +. a2 -. a3 -. a4 +. a5 +. x6;
-  d.(q + (4 * dt)) <- -.a1 +. a2 +. a3 -. a4 -. a5 +. x6;
-  d.(q + (5 * dt)) <- b1 +. b2 -. a3 -. b4 +. b5 +. x6;
-  d.(q + (6 * dt)) <- -.b1 +. b2 +. a3 -. b4 -. b5 +. x6;
-  d.(q + (7 * dt)) <- -.x1 +. s3 -. s5 +. x7
-
-let g6_f : float step =
- fun s o st d q dt ->
-  let f0 = s.(o) and f1 = s.(o + st) and f2 = s.(o + (2 * st)) in
-  let u0 = c2_9 *. f0 and u1 = c2_9 *. f1 and u2 = c2_9 *. f2 in
-  let v0 = c1_90 *. f0 and v1 = c1_45 *. f1 and v2 = c2_45 *. f2 in
-  let g1 = c32_45 *. f0 and g2 = c16_45 *. f1 and g3 = c8_45 *. f2 in
-  d.(q) <- f0;
-  d.(q + dt) <- -.u0 -. u1 -. u2;
-  d.(q + (2 * dt)) <- -.u0 +. u1 -. u2;
-  d.(q + (3 * dt)) <- v0 +. v1 +. v2;
-  d.(q + (4 * dt)) <- v0 -. v1 +. v2;
-  d.(q + (5 * dt)) <- g1 +. g2 +. g3;
-  d.(q + (6 * dt)) <- g1 -. g2 +. g3;
-  d.(q + (7 * dt)) <- f2
-
-let at6_f : float step =
- fun s o st d q dt ->
-  let y0 = s.(o)
-  and y1 = s.(o + st)
-  and y2 = s.(o + (2 * st))
-  and y3 = s.(o + (3 * st))
-  and y4 = s.(o + (4 * st))
-  and y5 = s.(o + (5 * st))
-  and y6 = s.(o + (6 * st))
-  and y7 = s.(o + (7 * st)) in
-  d.(q) <- y0 +. y1 +. y2 +. y3 +. y4 +. y5 +. y6;
-  d.(q + dt) <-
-    y1 -. y2 +. (2.0 *. y3) -. (2.0 *. y4) +. (0.5 *. y5) -. (0.5 *. y6);
-  d.(q + (2 * dt)) <-
-    y1 +. y2 +. (4.0 *. y3) +. (4.0 *. y4) +. (0.25 *. y5) +. (0.25 *. y6);
-  d.(q + (3 * dt)) <-
-    y1 -. y2 +. (8.0 *. y3) -. (8.0 *. y4) +. (0.125 *. y5) -. (0.125 *. y6);
-  d.(q + (4 * dt)) <-
-    y1 +. y2
-    +. (16.0 *. y3)
-    +. (16.0 *. y4)
-    +. (0.0625 *. y5)
-    +. (0.0625 *. y6);
-  d.(q + (5 * dt)) <-
-    y1 -. y2
-    +. (32.0 *. y3)
-    -. (32.0 *. y4)
-    +. (0.03125 *. y5)
-    -. (0.03125 *. y6)
-    +. y7
-
-(* ---------- integer steps (scaled integral matrices, shift-add) ---------- *)
-
-(* F2: Bᵀ and Aᵀ already integral (scale 1); G scaled by 2:
-   [[2,0,0];[1,1,1];[1,-1,1];[0,0,2]]. *)
-let bt2_i : int step =
- fun s o st d q dt ->
-  let x0 = s.(o)
-  and x1 = s.(o + st)
-  and x2 = s.(o + (2 * st))
-  and x3 = s.(o + (3 * st)) in
-  d.(q) <- x0 - x2;
-  d.(q + dt) <- x1 + x2;
-  d.(q + (2 * dt)) <- x2 - x1;
-  d.(q + (3 * dt)) <- x1 - x3
-
-let g2_i : int step =
- fun s o st d q dt ->
-  let f0 = s.(o) and f1 = s.(o + st) and f2 = s.(o + (2 * st)) in
-  d.(q) <- f0 lsl 1;
-  d.(q + dt) <- f0 + f1 + f2;
-  d.(q + (2 * dt)) <- f0 - f1 + f2;
-  d.(q + (3 * dt)) <- f2 lsl 1
-
-let at2_i : int step =
- fun s o st d q dt ->
-  let y0 = s.(o)
-  and y1 = s.(o + st)
-  and y2 = s.(o + (2 * st))
-  and y3 = s.(o + (3 * st)) in
-  d.(q) <- y0 + y1 + y2;
-  d.(q + dt) <- y1 - y2 - y3
-
-(* F4: Bᵀ/Aᵀ integral; G scaled by 24:
-   [[6,0,0];[-4,-4,-4];[-4,4,-4];[1,2,4];[1,-2,4];[0,0,24]]. *)
-let bt4_i : int step =
- fun s o st d q dt ->
-  let x0 = s.(o)
-  and x1 = s.(o + st)
-  and x2 = s.(o + (2 * st))
-  and x3 = s.(o + (3 * st))
-  and x4 = s.(o + (4 * st))
-  and x5 = s.(o + (5 * st)) in
-  d.(q) <- (x0 lsl 2) - (x2 lsl 2) - x2 + x4;
-  d.(q + dt) <- x3 + x4 - ((x1 + x2) lsl 2);
-  d.(q + (2 * dt)) <- ((x1 - x2) lsl 2) - x3 + x4;
-  d.(q + (3 * dt)) <- ((x3 - x1) lsl 1) - x2 + x4;
-  d.(q + (4 * dt)) <- ((x1 - x3) lsl 1) - x2 + x4;
-  d.(q + (5 * dt)) <- (x1 lsl 2) - (x3 lsl 2) - x3 + x5
-
-let g4_i : int step =
- fun s o st d q dt ->
-  let f0 = s.(o) and f1 = s.(o + st) and f2 = s.(o + (2 * st)) in
-  let sum = f0 + f1 + f2 and dif = f0 - f1 + f2 in
-  d.(q) <- (f0 lsl 2) + (f0 lsl 1);
-  d.(q + dt) <- -(sum lsl 2);
-  d.(q + (2 * dt)) <- -(dif lsl 2);
-  d.(q + (3 * dt)) <- f0 + (f1 lsl 1) + (f2 lsl 2);
-  d.(q + (4 * dt)) <- f0 - (f1 lsl 1) + (f2 lsl 2);
-  d.(q + (5 * dt)) <- (f2 lsl 4) + (f2 lsl 3)
-
-let at4_i : int step =
- fun s o st d q dt ->
-  let y0 = s.(o)
-  and y1 = s.(o + st)
-  and y2 = s.(o + (2 * st))
-  and y3 = s.(o + (3 * st))
-  and y4 = s.(o + (4 * st))
-  and y5 = s.(o + (5 * st)) in
-  let dd = y1 - y2 and ss = y1 + y2 in
-  let e = y3 - y4 and f = y3 + y4 in
-  d.(q) <- y0 + ss + f;
-  d.(q + dt) <- dd + (e lsl 1);
-  d.(q + (2 * dt)) <- ss + (f lsl 2);
-  d.(q + (3 * dt)) <- dd + (e lsl 3) + y5
-
-(* F6: Bᵀ scaled by 4, G by 90, Aᵀ by 32.  21z = 16z+4z+z, 17z = 16z+z,
-   10z = 8z+2z, 5z = 4z+z, 20z = 16z+4z, 90z = 64z+16z+8z+2z. *)
-let bt6_i : int step =
- fun s o st d q dt ->
-  let x0 = s.(o)
-  and x1 = s.(o + st)
-  and x2 = s.(o + (2 * st))
-  and x3 = s.(o + (3 * st))
-  and x4 = s.(o + (4 * st))
-  and x5 = s.(o + (5 * st))
-  and x6 = s.(o + (6 * st))
-  and x7 = s.(o + (7 * st)) in
-  let t42 = x4 - x2 and t34 = x3 + x4 and d34 = x3 - x4 in
-  let s1256 = x1 + x2 + x5 + x6 in
-  d.(q) <- ((x0 - x6) lsl 2) + (t42 lsl 4) + (t42 lsl 2) + t42;
-  d.(q + dt) <- (s1256 lsl 2) - (t34 lsl 4) - t34;
-  d.(q + (2 * dt)) <- ((x2 + x6 - x1 - x5) lsl 2) + (d34 lsl 4) + d34;
-  d.(q + (3 * dt)) <-
-    (x1 lsl 1) + x2 - (x3 lsl 3) - (x3 lsl 1) - (x4 lsl 2) - x4 + (x5 lsl 3)
-    + (x6 lsl 2);
-  d.(q + (4 * dt)) <-
-    x2 - (x1 lsl 1) + (x3 lsl 3) + (x3 lsl 1) - (x4 lsl 2) - x4 - (x5 lsl 3)
-    + (x6 lsl 2);
-  d.(q + (5 * dt)) <-
-    (x1 lsl 3) + (x2 lsl 4) - (x3 lsl 3) - (x3 lsl 1) - (x4 lsl 4)
-    - (x4 lsl 2) + (x5 lsl 1) + (x6 lsl 2);
-  d.(q + (6 * dt)) <-
-    (x2 lsl 4) - (x1 lsl 3) + (x3 lsl 3) + (x3 lsl 1) - (x4 lsl 4)
-    - (x4 lsl 2) - (x5 lsl 1) + (x6 lsl 2);
-  d.(q + (7 * dt)) <-
-    ((x7 - x1) lsl 2) + ((x3 - x5) lsl 4) + ((x3 - x5) lsl 2) + (x3 - x5)
-
-let g6_i : int step =
- fun s o st d q dt ->
-  let f0 = s.(o) and f1 = s.(o + st) and f2 = s.(o + (2 * st)) in
-  let sum = f0 + f1 + f2 and dif = f0 - f1 + f2 in
-  d.(q) <- (f0 lsl 6) + (f0 lsl 4) + (f0 lsl 3) + (f0 lsl 1);
-  d.(q + dt) <- -((sum lsl 4) + (sum lsl 2));
-  d.(q + (2 * dt)) <- -((dif lsl 4) + (dif lsl 2));
-  d.(q + (3 * dt)) <- f0 + (f1 lsl 1) + (f2 lsl 2);
-  d.(q + (4 * dt)) <- f0 - (f1 lsl 1) + (f2 lsl 2);
-  d.(q + (5 * dt)) <- (f0 lsl 6) + (f1 lsl 5) + (f2 lsl 4);
-  d.(q + (6 * dt)) <- (f0 lsl 6) - (f1 lsl 5) + (f2 lsl 4);
-  d.(q + (7 * dt)) <- (f2 lsl 6) + (f2 lsl 4) + (f2 lsl 3) + (f2 lsl 1)
-
-let at6_i : int step =
- fun s o st d q dt ->
-  let y0 = s.(o)
-  and y1 = s.(o + st)
-  and y2 = s.(o + (2 * st))
-  and y3 = s.(o + (3 * st))
-  and y4 = s.(o + (4 * st))
-  and y5 = s.(o + (5 * st))
-  and y6 = s.(o + (6 * st))
-  and y7 = s.(o + (7 * st)) in
-  let dd = y1 - y2 and ss = y1 + y2 in
-  let e = y3 - y4 and f = y3 + y4 in
-  let g = y5 - y6 and h = y5 + y6 in
-  d.(q) <- (y0 + ss + f + h) lsl 5;
-  d.(q + dt) <- (dd lsl 5) + (e lsl 6) + (g lsl 4);
-  d.(q + (2 * dt)) <- (ss lsl 5) + (f lsl 7) + (h lsl 3);
-  d.(q + (3 * dt)) <- (dd lsl 5) + (e lsl 8) + (g lsl 2);
-  d.(q + (4 * dt)) <- (ss lsl 5) + (f lsl 9) + (h lsl 1);
-  d.(q + (5 * dt)) <- (dd lsl 5) + (e lsl 10) + g + (y7 lsl 5)
-
 (* ---------- kernel records ---------- *)
 
 let make ~t ~m ~r ~bt ~g ~at =
@@ -424,45 +106,39 @@ let make ~t ~m ~r ~bt ~g ~at =
     output = dense ~rows:m ~inner:t at;
   }
 
-let f2_f32 = make ~t:4 ~m:2 ~r:3 ~bt:bt2_f ~g:g2_f ~at:at2_f
-let f4_f32 = make ~t:6 ~m:4 ~r:3 ~bt:bt4_f ~g:g4_f ~at:at4_f
-let f6_f32 = make ~t:8 ~m:6 ~r:3 ~bt:bt6_f ~g:g6_f ~at:at6_f
+(* One record per variant, built once, around the generated steps. *)
+let specialized steps =
+  let kernel v =
+    let bt, g, at = steps v in
+    make ~t:(Transform.t v) ~m:(Transform.m v) ~r:(Transform.r v) ~bt ~g ~at
+  in
+  let f2 = kernel Transform.F2
+  and f4 = kernel Transform.F4
+  and f6 = kernel Transform.F6 in
+  function Transform.F2 -> f2 | Transform.F4 -> f4 | Transform.F6 -> f6
 
-let f32_specialized = function
-  | Transform.F2 -> f2_f32
-  | Transform.F4 -> f4_f32
-  | Transform.F6 -> f6_f32
+let f32_specialized = specialized Kernel_steps.float_steps
+let i32_specialized = specialized Kernel_steps.int_steps
 
-let f2_i32 = make ~t:4 ~m:2 ~r:3 ~bt:bt2_i ~g:g2_i ~at:at2_i
-let f4_i32 = make ~t:6 ~m:4 ~r:3 ~bt:bt4_i ~g:g4_i ~at:at4_i
-let f6_i32 = make ~t:8 ~m:6 ~r:3 ~bt:bt6_i ~g:g6_i ~at:at6_i
-
-let i32_specialized = function
-  | Transform.F2 -> f2_i32
-  | Transform.F4 -> f4_i32
-  | Transform.F6 -> f6_i32
-
-(* Compile an arbitrary constant matrix into a sparse per-row plan.  The
-   accumulation is exactly [Ops.matmul] with that matrix on the left:
-   start from 0.0, add coefficient·element for the non-zero coefficients
-   in ascending column order. *)
-let plan_step (mat : float array array) : float step =
-  let rows = Array.length mat in
+(* Compile an arbitrary constant matrix into a sparse per-row plan: the
+   columns and values of each row's nonzero coefficients, ascending. *)
+let sparse_rows ~zero (mat : 'a array array) =
   let idx =
     Array.map
       (fun row ->
-        let l = ref [] in
-        Array.iteri (fun k c -> if c <> 0.0 then l := k :: !l) row;
-        Array.of_list (List.rev !l))
+        Array.of_list
+          (List.filter (fun k -> row.(k) <> zero) (List.init (Array.length row) Fun.id)))
       mat
   in
-  let coef =
-    Array.map2
-      (fun row ix -> Array.map (fun k -> row.(k)) ix)
-      mat idx
-  in
+  (idx, Array.map2 (fun row ix -> Array.map (fun k -> row.(k)) ix) mat idx)
+
+(* The float plan accumulates exactly as [Ops.matmul] with the matrix on
+   the left: from 0.0, adding coefficient·element in ascending column
+   order. *)
+let plan_step mat : float step =
+  let idx, coef = sparse_rows ~zero:0.0 mat in
   fun s o st d q dt ->
-    for i = 0 to rows - 1 do
+    for i = 0 to Array.length idx - 1 do
       let ix = idx.(i) and cf = coef.(i) in
       let acc = ref 0.0 in
       for k = 0 to Array.length ix - 1 do
@@ -478,21 +154,10 @@ let f32_of_mats ~bt ~g ~at =
 
 (* Integer analogue of [plan_step]: exact arithmetic, so the sparse plan
    is unconditionally bit-identical to the dense sandwich. *)
-let plan_step_i (mat : int array array) : int step =
-  let rows = Array.length mat in
-  let idx =
-    Array.map
-      (fun row ->
-        let l = ref [] in
-        Array.iteri (fun k c -> if c <> 0 then l := k :: !l) row;
-        Array.of_list (List.rev !l))
-      mat
-  in
-  let coef =
-    Array.map2 (fun row ix -> Array.map (fun k -> row.(k)) ix) mat idx
-  in
+let plan_step_i mat : int step =
+  let idx, coef = sparse_rows ~zero:0 mat in
   fun s o st d q dt ->
-    for i = 0 to rows - 1 do
+    for i = 0 to Array.length idx - 1 do
       let ix = idx.(i) and cf = coef.(i) in
       let acc = ref 0 in
       for k = 0 to Array.length ix - 1 do

@@ -4,7 +4,8 @@
     This is the software analogue of the paper's transformation engines:
     the constant matrices [Bᵀ], [G], [Aᵀ] are specialized into straight-line
     code (shift-and-add for the integer path, constant-folded multiplies for
-    the float path) that writes into caller-provided scratch, and the tile
+    the float path), generated at build time from {!Transform}'s matrices
+    ({!Kernel_steps}), that writes into caller-provided scratch, and the tile
     loop is reformulated tap-major — input tiles are scattered into [t·t]
     per-tap [tiles × cin] panels, each tap runs one flat GEMM against the
     [cin × cout] transformed weights, and results are gathered back through
@@ -77,13 +78,16 @@ val epilogue_store : epilogue -> int array -> int -> int -> unit
     the ReLU use sign masks, since the operands are sign-random. *)
 
 val f32_specialized : Transform.variant -> float kernel
-(** Fully unrolled float transforms for F2/F4/F6 with shared
-    sign-symmetric products; identical (up to zero sign) to the
-    {!Transform.input_tile}/[weight_tile]/[output_tile] sandwiches. *)
+(** The float kernel of a variant, around the straight-line steps
+    {!Kernel_steps.float_steps} generated at build time from
+    {!Transform}'s matrices; identical (up to zero sign) to the
+    {!Transform.input_tile}/[weight_tile]/[output_tile] sandwiches.  One
+    record per variant, built once. *)
 
 val i32_specialized : Transform.variant -> int kernel
-(** Fully unrolled shift-add integer transforms over the minimally scaled
-    integral matrices; bit-identical to {!Transform.input_tile_int},
+(** The integer kernel of a variant, around the shift-add steps
+    {!Kernel_steps.int_steps} over the minimally scaled integral
+    matrices; bit-identical to {!Transform.input_tile_int},
     {!Transform.weight_tile_int_scaled}, {!Transform.output_tile_int}. *)
 
 val f32_of_mats :

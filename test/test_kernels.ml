@@ -41,6 +41,17 @@ let itensor_of_rng rng shape =
 
 (* ----------------------- single-tile transform steps vs Rmat sandwich *)
 
+(* The row-major [t×t] tile [x] placed as a window of a larger buffer,
+   at a nonzero offset with rows [rs > t] apart; every other element is
+   [fill], so a [window] that reads outside the tile shows. *)
+let strided_window rng fill x ~t =
+  let soff = 1 + Twq_util.Rng.int rng 5 and rs = t + 1 + Twq_util.Rng.int rng 3 in
+  let src = Array.make (soff + ((t - 1) * rs) + t + 2) fill in
+  for dy = 0 to t - 1 do
+    Array.blit x (dy * t) src (soff + (dy * rs)) t
+  done;
+  (src, soff, rs)
+
 let prop_float_tiles =
   QCheck2.Test.make ~count:100 ~name:"specialized f32 tile = Rmat sandwich"
     QCheck2.Gen.(pair variant_gen seed_gen)
@@ -52,6 +63,9 @@ let prop_float_tiles =
       let x = tensor_of_rng rng [| t; t |] in
       let got_in = Array.make (t * t) nan in
       k.Kernels.input x.Tensor.data 0 got_in 0 tmp;
+      let src, soff, rs = strided_window rng nan x.Tensor.data ~t in
+      let got_win = Array.make (t * t) nan in
+      k.Kernels.window src soff rs got_win tmp;
       let f = tensor_of_rng rng [| 3; 3 |] in
       let got_w = Array.make (t * t) nan in
       k.Kernels.weight f.Tensor.data 0 got_w 0 tmp;
@@ -59,6 +73,7 @@ let prop_float_tiles =
       let got_out = Array.make (m * m) nan in
       k.Kernels.output y.Tensor.data 0 got_out 0 tmp;
       got_in = (Transform.input_tile v x).Tensor.data
+      && got_win = got_in
       && got_w = (Transform.weight_tile v f).Tensor.data
       && got_out = (Transform.output_tile v y).Tensor.data)
 
@@ -73,6 +88,9 @@ let prop_int_tiles =
       let x = itensor_of_rng rng [| t; t |] in
       let got_in = Array.make (t * t) 0 in
       k.Kernels.input x.Itensor.data 0 got_in 0 tmp;
+      let src, soff, rs = strided_window rng max_int x.Itensor.data ~t in
+      let got_win = Array.make (t * t) 0 in
+      k.Kernels.window src soff rs got_win tmp;
       let f = itensor_of_rng rng [| 3; 3 |] in
       let got_w = Array.make (t * t) 0 in
       k.Kernels.weight f.Itensor.data 0 got_w 0 tmp;
@@ -80,6 +98,7 @@ let prop_int_tiles =
       let got_out = Array.make (m * m) 0 in
       k.Kernels.output y.Itensor.data 0 got_out 0 tmp;
       got_in = (Transform.input_tile_int v x).Itensor.data
+      && got_win = got_in
       && got_w = (Transform.weight_tile_int_scaled v f).Itensor.data
       && got_out = (Transform.output_tile_int v y).Itensor.data)
 
@@ -417,6 +436,60 @@ let test_scatter_range_bound () =
        "Tapwise.pack: tap (2,3) of F4 can reach 2^29 · 100 · 2^26 >= 2^61 \
         before its clamp (act_bits = 30, wino_bits = 30)")
     (fun () -> ignore (Tapwise.pack (scatter_bound_layer ~lshift:26)))
+
+(* The accumulator range proof at the word's edge.  At wino_bits = 30
+   every scattered activation lies in [-2^29, 2^29) and a weight may be
+   -2^29, so a column of cin products sums to at most cin·2^58 in
+   magnitude: acc_bits = 30 + log2 (cin·2^29) + 1.  At cin = 8 that is
+   63 bits, the whole word; at cin = 16 it is 64, and an all-negative
+   column sums to 2^62, which wraps to min_int in the GEMM and the
+   oracle alike.  The F2 layer below keeps every tap unshifted
+   (G = 4, so the scatter's range proof holds). *)
+let acc_bound_layer ~cin =
+  let config =
+    { (Tapwise.default_config Transform.F2) with Tapwise.act_bits = 30; wino_bits = 30 }
+  in
+  {
+    Tapwise.config;
+    pad = 1;
+    s_x = 1.0;
+    s_w = 1.0;
+    s_y = Float.ldexp 1.0 40;
+    s_b = Array.make_matrix 4 4 1.0;
+    s_g = Array.make_matrix 4 4 1.0;
+    s_g_channel = None;
+    wq = Itensor.init [| 2; cin; 4; 4 |] (fun _ -> -(1 lsl 29));
+    bias = None;
+  }
+
+let test_acc_range_bound () =
+  let l = acc_bound_layer ~cin:8 in
+  let p = Tapwise.pack l in
+  Alcotest.(check int) "cin 8: acc_bits" 63 (Tapwise.acc_bits p);
+  (* Every channel carries the same plane of rail values, so the
+     clamped taps agree across channels and each column sum reaches
+     8·2^58 = 2^61 where a tap sits on the negative rail. *)
+  let rng = Twq_util.Rng.create 34 in
+  let plane =
+    Array.init (2 * 9 * 7) (fun _ ->
+        if Twq_util.Rng.bool rng then (1 lsl 29) - 1 else -(1 lsl 29))
+  in
+  let xi =
+    Itensor.init [| 2; 8; 9; 7 |] (fun idx ->
+        plane.((((idx.(0) * 9) + idx.(2)) * 7) + idx.(3)))
+  in
+  let want = Tapwise.forward_int_ref l xi in
+  Alcotest.(check bool) "cin 8: nonzero outputs" true
+    (Array.exists (fun v -> v <> 0) want.Itensor.data);
+  let got = Itensor.zeros want.Itensor.shape in
+  Tapwise.forward_int_into p xi ~out:got;
+  Alcotest.(check bool) "cin 8 at the rails: = forward_int_ref" true
+    (Itensor.equal got want);
+  Alcotest.check_raises "cin 16: refused"
+    (Invalid_argument
+       "Tapwise.pack: per-tap accumulators can need 64 signed bits > 63 \
+        (act_bits = 30, wino_bits = 30, cin = 16)")
+    (fun () -> ignore (Tapwise.pack (acc_bound_layer ~cin:16)))
 
 (* Exact halves in the output store.  With pow2 scales every gather
    value is an integer multiple of the smallest s_b·s_g, so an output
@@ -850,15 +923,17 @@ let test_pair_bound () =
       Alcotest.(check bool) (name ^ ": = forward_int_ref") true
         (Itensor.equal got want))
     [ (false, true, 31); (true, false, 32) ];
-  (* Serialize does not bound wq, so the proof must not wrap: two
-     weights of 2^61 in one column sum to 2^62, which is min_int in a
-     63-bit int. *)
+  (* [pack] does not assume wq is bounded, so the proof must not wrap:
+     two weights of 2^61 in one column sum to 2^62, which is min_int in
+     a 63-bit int.  Summed without wrapping, the bound is past the word
+     and the layer is refused rather than paired. *)
   let l, _ = pair_bound_layer ~over:false in
   let wq = Itensor.copy l.Tapwise.wq in
   Itensor.set4 wq 0 0 0 0 (1 lsl 61);
   Itensor.set4 wq 0 1 0 0 (1 lsl 61);
-  Alcotest.(check bool) "huge weights: not paired" false
-    (Tapwise.paired (Tapwise.pack { l with Tapwise.wq }))
+  match Tapwise.pack { l with Tapwise.wq } with
+  | exception Invalid_argument _ -> ()
+  | p -> Alcotest.failf "huge weights packed (paired = %b)" (Tapwise.paired p)
 
 (* Tap requant shifts past the word: OCaml's [asr 64] leaves its operand
    unchanged and [lsl 63] zeroes it, so an uncapped tap shift of +64
@@ -1039,6 +1114,8 @@ let () =
             test_tap_shift_beyond_word;
           Alcotest.test_case "scatter range proof at its bound" `Quick
             test_scatter_range_bound;
+          Alcotest.test_case "accumulator range proof at the word" `Quick
+            test_acc_range_bound;
         ] );
       ( "sparse",
         [

@@ -667,6 +667,64 @@ let test_structure_graph_loads () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "unmutated graph rejected: %s" msg
 
+(* A Winograd layer at widths 30/30 with every weight at -2^29: each
+   field is in range, and at cin = 8 the per-tap accumulators need 63
+   signed bits, the whole word.  At cin = 16 they need 64 and would
+   wrap, so the artifact is refused at load as an error naming the
+   node, and a registry holding it skips it as a bad artifact.  The
+   graph is built around the same layer with unit weights (which packs
+   at any cin) and the layer's text swapped in. *)
+let acc_graph ~cin =
+  let layer w =
+    {
+      Twq_quant.Tapwise.config =
+        { (Twq_quant.Tapwise.default_config Twq_winograd.Transform.F2) with
+          Twq_quant.Tapwise.act_bits = 30; wino_bits = 30 };
+      pad = 1;
+      s_x = 1.0;
+      s_w = 1.0;
+      s_y = Float.ldexp 1.0 40;
+      s_b = Array.make_matrix 4 4 1.0;
+      s_g = Array.make_matrix 4 4 1.0;
+      s_g_channel = None;
+      wq = Twq_tensor.Itensor.init [| 2; cin; 4; 4 |] (fun _ -> w);
+      bias = None;
+    }
+  in
+  let unit = Serialize.layer_to_string (layer 1)
+  and rails = Serialize.layer_to_string (layer (-(1 lsl 29))) in
+  let text =
+    Twq_nn.Int_graph.to_string
+      (Twq_nn.Int_graph.chain ~input_scale:1.0 [ Twq_nn.Int_graph.Wino (layer 1) ]
+         ~w:(Tensor.zeros [| 3; 2 |]) ~bias:None)
+  in
+  let n = String.length unit in
+  let rec at i = if String.sub text i n = unit then i else at (i + 1) in
+  let i = at 0 in
+  String.sub text 0 i ^ rails ^ String.sub text (i + n) (String.length text - i - n)
+
+let test_acc_past_word_refused () =
+  (match Model.of_string (acc_graph ~cin:8) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "cin 8 rejected: %s" msg);
+  let payload = acc_graph ~cin:16 in
+  (match Model.of_string payload with
+  | Ok _ -> Alcotest.fail "cin 16 accepted"
+  | Error msg ->
+      List.iter
+        (fun needle ->
+          if not (contains msg needle) then Alcotest.failf "message %S lacks %S" msg needle)
+        [ "node 1"; "64 signed bits"; "cin = 16" ]);
+  with_registry (fun dir ->
+      write_raw
+        (Filename.concat dir "bad@v1.twqm")
+        (Printf.sprintf "twq-model v1 bad 1 graph 16 6 6 %d %08x\n%s"
+           (String.length payload) (Crc32.digest payload) payload);
+      match Registry.skipped (Result.get_ok (Registry.open_dir dir)) with
+      | [ (_, Registry.Bad_artifact _) ] -> ()
+      | [ (_, e) ] -> Alcotest.failf "wrong error: %s" (Registry.error_to_string e)
+      | l -> Alcotest.failf "expected one skipped artifact, got %d" (List.length l))
+
 let test_registry_hot_swap () =
   with_registry (fun dir ->
       let reg = Result.get_ok (Registry.open_dir dir) in
@@ -894,6 +952,8 @@ let () =
         ] );
       ( "structure",
         Alcotest.test_case "unmutated graph loads" `Quick test_structure_graph_loads
+        :: Alcotest.test_case "rejects wino accumulators past the word" `Quick
+             test_acc_past_word_refused
         :: List.map
              (fun (name, tag, edit) ->
                Alcotest.test_case ("rejects " ^ name) `Quick
