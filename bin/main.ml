@@ -830,26 +830,12 @@ let route_cmd =
             "Per-request attempt budget, including the first attempt (1 \
              disables retrying).")
   in
-  let hedge =
-    Arg.(
-      value & flag
-      & info [ "hedge" ]
-          ~doc:
-            "Race a second shard when the first attempt is slower than the \
-             observed p99 attempt latency.")
-  in
-  let hedge_floor_ms =
-    Arg.(
-      value & opt float 10.0
-      & info [ "hedge-floor-ms" ] ~doc:"Minimum hedge delay, milliseconds.")
-  in
   let seed =
     Arg.(
       value & opt int 0 & info [ "seed" ] ~doc:"Retry-jitter RNG seed.")
   in
   let run listen shards vnodes heartbeat_ms stats_out connect_timeout_ms
-      breaker_failures breaker_cooldown_ms retry_attempts hedge hedge_floor_ms
-      seed =
+      breaker_failures breaker_cooldown_ms retry_attempts seed =
     ignore (Serve.Fault.install_from_env ());
     let config =
       {
@@ -862,8 +848,6 @@ let route_cmd =
            else { Serve.Retry.default with attempts = retry_attempts });
         breaker_failures;
         breaker_cooldown = breaker_cooldown_ms /. 1e3;
-        hedge;
-        hedge_floor = hedge_floor_ms /. 1e3;
         seed;
       }
     in
@@ -882,7 +866,7 @@ let route_cmd =
     Term.(
       const run $ listen $ shards $ vnodes $ heartbeat_ms $ stats_out
       $ connect_timeout_ms $ breaker_failures $ breaker_cooldown_ms
-      $ retry_attempts $ hedge $ hedge_floor_ms $ seed)
+      $ retry_attempts $ seed)
 
 let stats_cmd =
   let doc = "Fetch the stats JSON from a running shard daemon or router." in

@@ -21,9 +21,10 @@
     Run {!Passes.fold_bn} first: [quantize] rejects graphs that still
     contain batch-norm nodes.
 
-    Every graph ends in its float head and is lowered to a compiled
-    {!Plan} when it is built or loaded; {!run} always executes that
-    plan, and {!run_ref} is the oracle it is tested against. *)
+    Every node holds a {!Plan.prim}, its layer packed when the node is
+    built or loaded, and every graph ends in its float head, so each
+    graph runs a compiled {!Plan}: {!run} always executes that plan,
+    and {!run_ref} is the oracle it is tested against. *)
 
 type t
 
@@ -93,9 +94,9 @@ val spatial_layer_count : t -> int
 val prune : t -> density:float -> t
 (** Magnitude-prune every tap-wise layer's quantized Winograd weights
     to the given nonzero fraction ([Pruning.prune_quantized], per
-    layer) and re-make the graph, so lowering re-packs the panels and
-    re-takes the per-tap sparse/dense execution decision from the
-    pruned zeros.  Spatial layers and the float head are untouched.
+    layer) and re-pack them, which re-takes the per-tap sparse/dense
+    execution decision from the pruned zeros.  Spatial layers and the
+    float head are untouched.
     @raise Invalid_argument if [density] is outside (0, 1]. *)
 
 val winograd_density : t -> float
@@ -119,8 +120,9 @@ val of_string : string -> t
     node is the only head, every input names an earlier node other than
     the head, each op has its arity (input 0, add/concat 2, the rest 1),
     pool sizes, strides and upsample factors are at least 1, shifts
-    lie in 0..62, and no Winograd layer's [act_bits] is narrower than
-    its input (8 bits after the input quantizer or an add, a conv's
+    lie in 0..62, an add's stored output scale equals its node's scale,
+    every layer packs, and no Winograd layer's [act_bits] is narrower
+    than its input (8 bits after the input quantizer or an add, a conv's
     [act_bits] after it, unchanged through the other ops).
     @raise Failure naming the offending node (and byte offset). *)
 

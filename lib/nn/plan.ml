@@ -4,7 +4,7 @@
    a fresh tensor per node per forward and sweeping activations again
    for every elementwise epilogue — exactly the inter-stage traffic the
    paper's FixPipe fuses away in hardware.
-   A plan compiles a lowered [program] for one concrete input shape:
+   A plan compiles the graph's [node]s for one concrete input shape:
 
    - the schedule is the topological node order, restricted to nodes
      reachable from the output (dead placeholder nodes are dropped);
@@ -34,7 +34,7 @@ module Qconv = Twq_quant.Qconv
 module Quantizer = Twq_quant.Quantizer
 module Kernels = Twq_winograd.Kernels
 
-(* ------------------------------------------------------------ program IR *)
+(* ----------------------------------------------------------- integer ops *)
 
 type prim =
   | P_quantize of float  (* float input -> int8 at the given scale *)
@@ -49,8 +49,7 @@ type prim =
   | P_concat of { shift_a : int; shift_b : int }
   | P_head of { w : Tensor.t; bias : Tensor.t option; in_scale : float }
 
-type pnode = { prim : prim; args : int list }
-type program = { pnodes : pnode array; out : int }
+type node = { prim : prim; inputs : int list; scale : float }
 
 let is_conv_prim = function P_wino _ | P_spatial _ -> true | _ -> false
 
@@ -63,19 +62,10 @@ type epi_spec = {
   e_add : (int * int * int) option;  (* other node, shift_self, shift_other *)
 }
 
-let no_epi = { e_relu = false; e_add = None }
-
-type step =
-  | S_quantize of { scale : float; dst : int }
-  | S_wino of { p : Tapwise.packed; src : int; dst : int; epi : epi_spec }
-  | S_spatial of { p : Qconv.packed; src : int; dst : int; epi : epi_spec }
-  | S_relu of { src : int; dst : int }
-  | S_leaky of { k : int; src : int; dst : int }
-  | S_max_pool of { k : int; stride : int; src : int; dst : int }
-  | S_avg_pool2 of { src : int; dst : int }
-  | S_upsample of { f : int; src : int; dst : int }
-  | S_add of { a : int; b : int; shift_a : int; shift_b : int; dst : int }
-  | S_concat of { a : int; b : int; shift_a : int; shift_b : int; dst : int }
+(* One scheduled node: [src] are its resolved operands (the nodes whose
+   buffers hold its inputs' values), [fuse] the epilogue folded into a
+   conv's store (always empty for the other prims). *)
+type step = { prim : prim; src : int array; dst : int; fuse : epi_spec }
 
 type head_spec = {
   h_wt : Tensor.t;  (* pre-transposed weights, so the forward only matmuls *)
@@ -119,12 +109,12 @@ let assignments t = Array.to_list t.assignments
 
 (* ------------------------------------------------------ shape inference *)
 
-let infer_shapes pnodes ~input_shape =
-  let shapes = Array.make (Array.length pnodes) [||] in
+let infer_shapes (nodes : node array) ~input_shape =
+  let shapes = Array.make (Array.length nodes) [||] in
   let dims i = (shapes.(i).(0), shapes.(i).(1), shapes.(i).(2), shapes.(i).(3)) in
   Array.iteri
-    (fun i { prim; args } ->
-      let arg k = List.nth args k in
+    (fun i ({ prim; inputs; _ } : node) ->
+      let arg k = List.nth inputs k in
       shapes.(i) <-
         (match prim with
         | P_quantize _ -> Array.copy input_shape
@@ -162,37 +152,33 @@ let infer_shapes pnodes ~input_shape =
             let cb = shapes.(arg 1).(1) in
             [| n; ca + cb; h; w |]
         | P_head { w; _ } -> [| shapes.(arg 0).(0); Tensor.dim w 0 |]))
-    pnodes;
+    nodes;
   shapes
 
 (* ------------------------------------------------------------- compile *)
 
-let compile program ~input_shape =
+let compile (nodes : node array) out ~input_shape =
   if Array.length input_shape <> 4 then
     invalid_arg "Plan.compile: input shape must be [| n; c; h; w |]";
-  let pnodes = program.pnodes in
-  let n = Array.length pnodes in
-  (match pnodes.(program.out).prim with
-  | P_head _ -> ()
-  | _ -> invalid_arg "Plan.compile: program output must be a head node");
-  let shapes = infer_shapes pnodes ~input_shape in
+  let n = Array.length nodes in
+  let shapes = infer_shapes nodes ~input_shape in
   (* Reachability from the output: dead nodes (e.g. the patched-out GAP
      placeholder of Int_graph) are neither scheduled nor given buffers. *)
   let reach = Array.make n false in
   let rec mark i =
     if not reach.(i) then begin
       reach.(i) <- true;
-      List.iter mark pnodes.(i).args
+      List.iter mark nodes.(i).inputs
     end
   in
-  mark program.out;
+  mark out;
   (* Consumer multiplicity over reachable nodes — fusion requires the
      producer to have exactly one consumer. *)
   let cons = Array.make n 0 in
   Array.iteri
-    (fun i { args; _ } ->
-      if reach.(i) then List.iter (fun j -> cons.(j) <- cons.(j) + 1) args)
-    pnodes;
+    (fun i ({ inputs; _ } : node) ->
+      if reach.(i) then List.iter (fun j -> cons.(j) <- cons.(j) + 1) inputs)
+    nodes;
   (* Epilogue fusion.  [alias.(i)] names the node whose buffer holds
      node [i]'s value; fused adds/relus are skipped as steps and their
      effect moves into the producing conv's output loop.  An add can
@@ -204,12 +190,12 @@ let compile program ~input_shape =
   let epi_relu = Array.make n false in
   let epi_add = Array.make n None in
   Array.iteri
-    (fun i { prim; args } ->
+    (fun i ({ prim; inputs; _ } : node) ->
       if reach.(i) then
-        match (prim, args) with
+        match (prim, inputs) with
         | P_relu, [ j ] ->
             let p = alias.(j) in
-            if is_conv_prim pnodes.(p).prim && cons.(j) = 1 && not epi_relu.(p)
+            if is_conv_prim nodes.(p).prim && cons.(j) = 1 && not epi_relu.(p)
             then begin
               epi_relu.(p) <- true;
               skip.(i) <- true;
@@ -218,7 +204,7 @@ let compile program ~input_shape =
         | P_add { shift_a; shift_b }, [ a; b ] when a <> b ->
             let try_fuse x sx y sy =
               if
-                is_conv_prim pnodes.(x).prim
+                is_conv_prim nodes.(x).prim
                 && cons.(x) = 1
                 && (not epi_relu.(x))
                 && epi_add.(x) = None
@@ -236,99 +222,50 @@ let compile program ~input_shape =
             in
             ignore (try_fuse hi s_hi lo s_lo || try_fuse lo s_lo hi s_hi)
         | _ -> ())
-    pnodes;
+    nodes;
   let fused =
     Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 skip
   in
   (* Schedule: reachable, unfused, non-head nodes in topological order. *)
   let sched = ref [] in
   for i = n - 1 downto 0 do
-    if reach.(i) && (not skip.(i)) && i <> program.out then sched := i :: !sched
+    if reach.(i) && (not skip.(i)) && i <> out then sched := i :: !sched
   done;
-  let sched = Array.of_list !sched in
-  let nsteps = Array.length sched in
   let resolve j = alias.(j) in
   let steps =
     Array.map
       (fun i ->
-        let { prim; args } = pnodes.(i) in
-        let arg k = resolve (List.nth args k) in
-        match prim with
-        | P_quantize scale -> S_quantize { scale; dst = i }
-        | P_wino p ->
-            S_wino
-              {
-                p;
-                src = arg 0;
-                dst = i;
-                epi = { e_relu = epi_relu.(i); e_add = epi_add.(i) };
-              }
-        | P_spatial p ->
-            S_spatial
-              {
-                p;
-                src = arg 0;
-                dst = i;
-                epi = { e_relu = epi_relu.(i); e_add = epi_add.(i) };
-              }
-        | P_relu -> S_relu { src = arg 0; dst = i }
-        | P_leaky k -> S_leaky { k; src = arg 0; dst = i }
-        | P_max_pool { k; stride } -> S_max_pool { k; stride; src = arg 0; dst = i }
-        | P_avg_pool2 -> S_avg_pool2 { src = arg 0; dst = i }
-        | P_upsample f -> S_upsample { f; src = arg 0; dst = i }
-        | P_add { shift_a; shift_b } ->
-            S_add { a = arg 0; b = arg 1; shift_a; shift_b; dst = i }
-        | P_concat { shift_a; shift_b } ->
-            S_concat { a = arg 0; b = arg 1; shift_a; shift_b; dst = i }
-        | P_head _ -> assert false)
-      sched
+        let { prim; inputs; _ } = nodes.(i) in
+        {
+          prim;
+          src = Array.of_list (List.map resolve inputs);
+          dst = i;
+          fuse = { e_relu = epi_relu.(i); e_add = epi_add.(i) };
+        })
+      (Array.of_list !sched)
   in
+  let nsteps = Array.length steps in
   let head =
-    match pnodes.(program.out) with
-    | { prim = P_head { w; bias; in_scale }; args } ->
+    match nodes.(out) with
+    | { prim = P_head { w; bias; in_scale }; inputs; _ } ->
         {
           h_wt = Ops.transpose w;
           h_bias = bias;
           h_in_scale = in_scale;
-          h_src = resolve (List.hd args);
+          h_src = resolve (List.hd inputs);
         }
-    | _ -> assert false
+    | _ -> invalid_arg "Plan.compile: the output must be a head node"
   in
   (* Liveness on the fused schedule.  A step reads its resolved operands
      (a fused residual add reads the other operand inside the conv's
      step); the head reads its feature map at step [nsteps]. *)
   let def = Array.make n (-1) and last_read = Array.make n (-1) in
-  let reads_of = function
-    | S_quantize _ -> []
-    | S_wino { src; epi; _ } | S_spatial { src; epi; _ } -> (
-        match epi.e_add with
-        | Some (other, _, _) -> [ src; other ]
-        | None -> [ src ])
-    | S_relu { src; _ }
-    | S_leaky { src; _ }
-    | S_max_pool { src; _ }
-    | S_avg_pool2 { src; _ }
-    | S_upsample { src; _ } -> [ src ]
-    | S_add { a; b; _ } | S_concat { a; b; _ } -> [ a; b ]
-  in
-  let dst_of = function
-    | S_quantize { dst; _ }
-    | S_wino { dst; _ }
-    | S_spatial { dst; _ }
-    | S_relu { dst; _ }
-    | S_leaky { dst; _ }
-    | S_max_pool { dst; _ }
-    | S_avg_pool2 { dst; _ }
-    | S_upsample { dst; _ }
-    | S_add { dst; _ }
-    | S_concat { dst; _ } -> dst
-  in
+  let read s j = if s > last_read.(j) then last_read.(j) <- s in
   Array.iteri
-    (fun s st ->
-      def.(dst_of st) <- s;
-      List.iter
-        (fun j -> if s > last_read.(j) then last_read.(j) <- s)
-        (reads_of st))
+    (fun s { src; dst; fuse; _ } ->
+      def.(dst) <- s;
+      Array.iter (read s) src;
+      Option.iter (fun (other, _, _) -> read s other) fuse.e_add)
     steps;
   last_read.(head.h_src) <- nsteps;
   (* Greedy best-fit assignment of node buffers onto a reusable arena.
@@ -350,13 +287,12 @@ let compile program ~input_shape =
   in
   let assignments = ref [] in
   Array.iteri
-    (fun s st ->
+    (fun s { dst = node; _ } ->
       let dead, live =
         List.partition (fun node -> last_read.(node) < s) !active
       in
       active := live;
       List.iter (fun node -> free := slot_of.(node) :: !free) dead;
-      let node = dst_of st in
       let need = Shape.numel shapes.(node) in
       size_of.(node) <- need;
       let sizes = sizes_arr () in
@@ -407,13 +343,6 @@ let compile program ~input_shape =
   in
   let head_n = input_shape.(0) in
   let head_c = shapes.(head.h_src).(1) in
-  let epi_specs =
-    Array.map
-      (function
-        | S_wino { epi; _ } | S_spatial { epi; _ } -> epi
-        | _ -> no_epi)
-      steps
-  in
   let dummy_view = Itensor.zeros [| 1 |] in
   let dls =
     Domain.DLS.new_key (fun () ->
@@ -428,7 +357,7 @@ let compile program ~input_shape =
         in
         let epi =
           Array.map
-            (fun { e_relu; e_add } ->
+            (fun { fuse = { e_relu; e_add }; _ } ->
               {
                 Kernels.relu = e_relu;
                 add =
@@ -442,7 +371,7 @@ let compile program ~input_shape =
                       })
                     e_add;
               })
-            epi_specs
+            steps
         in
         { slots; view; epi; pooled = Array.make (Stdlib.max 1 (head_n * head_c)) 0.0 })
   in
@@ -466,40 +395,40 @@ let compile program ~input_shape =
    change results); the head replicates dequantize → global-average-pool
    → linear with the exact float operation sequence of the reference. *)
 
-let exec_step t d x s st =
+let exec_step t d x s { prim; src; dst; _ } =
   let numel node = Shape.numel t.shapes.(node) in
-  match st with
-  | S_quantize { scale; dst } ->
+  match prim with
+  | P_quantize scale ->
       let dd = d.view.(dst).Itensor.data and xd = x.Tensor.data in
       for i = 0 to numel dst - 1 do
         dd.(i) <- Quantizer.quantize ~bits:8 ~scale xd.(i)
       done
-  | S_wino { p; src; dst; _ } ->
+  | P_wino p ->
       (* Runs the register-tiled microkernel GEMM path: [p] carries the
          packed Winograd weight panels from [Tapwise.pack]. *)
-      Tapwise.forward_int_into ~epilogue:d.epi.(s) p d.view.(src)
+      Tapwise.forward_int_into ~epilogue:d.epi.(s) p d.view.(src.(0))
         ~out:d.view.(dst)
-  | S_spatial { p; src; dst; _ } ->
+  | P_spatial p ->
       (* The im2col GEMM path on the same microkernel: [p] carries the
          NR-packed weight panel from [Qconv.pack]. *)
-      Qconv.forward_int_into ~epilogue:d.epi.(s) p d.view.(src)
+      Qconv.forward_int_into ~epilogue:d.epi.(s) p d.view.(src.(0))
         ~out:d.view.(dst)
-  | S_relu { src; dst } ->
-      let sd = d.view.(src).Itensor.data and dd = d.view.(dst).Itensor.data in
+  | P_relu ->
+      let sd = d.view.(src.(0)).Itensor.data and dd = d.view.(dst).Itensor.data in
       (* The sign mask of [Kernels.epilogue_store]'s fused ReLU. *)
       for i = 0 to numel dst - 1 do
         let v = sd.(i) in
         dd.(i) <- v land lnot (v asr 62)
       done
-  | S_leaky { k; src; dst } ->
-      let sd = d.view.(src).Itensor.data and dd = d.view.(dst).Itensor.data in
+  | P_leaky k ->
+      let sd = d.view.(src.(0)).Itensor.data and dd = d.view.(dst).Itensor.data in
       for i = 0 to numel dst - 1 do
         let v = sd.(i) in
         dd.(i) <- (if v >= 0 then v else -Itensor.round_shift (-v) k)
       done
-  | S_max_pool { k; stride; src; dst } ->
-      let sd = d.view.(src).Itensor.data and dd = d.view.(dst).Itensor.data in
-      let sh = t.shapes.(src) and dh = t.shapes.(dst) in
+  | P_max_pool { k; stride } ->
+      let sd = d.view.(src.(0)).Itensor.data and dd = d.view.(dst).Itensor.data in
+      let sh = t.shapes.(src.(0)) and dh = t.shapes.(dst) in
       let n = dh.(0) and c = dh.(1) and ho = dh.(2) and wo = dh.(3) in
       let h = sh.(2) and w = sh.(3) in
       for nc = 0 to (n * c) - 1 do
@@ -517,9 +446,9 @@ let exec_step t d x s st =
           done
         done
       done
-  | S_avg_pool2 { src; dst } ->
-      let sd = d.view.(src).Itensor.data and dd = d.view.(dst).Itensor.data in
-      let sh = t.shapes.(src) and dh = t.shapes.(dst) in
+  | P_avg_pool2 ->
+      let sd = d.view.(src.(0)).Itensor.data and dd = d.view.(dst).Itensor.data in
+      let sh = t.shapes.(src.(0)) and dh = t.shapes.(dst) in
       let n = dh.(0) and c = dh.(1) and ho = dh.(2) and wo = dh.(3) in
       let h = sh.(2) and w = sh.(3) in
       for nc = 0 to (n * c) - 1 do
@@ -532,9 +461,9 @@ let exec_step t d x s st =
           done
         done
       done
-  | S_upsample { f; src; dst } ->
-      let sd = d.view.(src).Itensor.data and dd = d.view.(dst).Itensor.data in
-      let sh = t.shapes.(src) and dh = t.shapes.(dst) in
+  | P_upsample f ->
+      let sd = d.view.(src.(0)).Itensor.data and dd = d.view.(dst).Itensor.data in
+      let sh = t.shapes.(src.(0)) and dh = t.shapes.(dst) in
       let n = dh.(0) and c = dh.(1) and ho = dh.(2) and wo = dh.(3) in
       let h = sh.(2) and w = sh.(3) in
       ignore h;
@@ -548,9 +477,9 @@ let exec_step t d x s st =
           done
         done
       done
-  | S_add { a; b; shift_a; shift_b; dst } ->
-      let ad = d.view.(a).Itensor.data
-      and bd = d.view.(b).Itensor.data
+  | P_add { shift_a; shift_b } ->
+      let ad = d.view.(src.(0)).Itensor.data
+      and bd = d.view.(src.(1)).Itensor.data
       and dd = d.view.(dst).Itensor.data in
       for i = 0 to numel dst - 1 do
         dd.(i) <-
@@ -558,7 +487,8 @@ let exec_step t d x s st =
             (Itensor.round_shift ad.(i) shift_a
             + Itensor.round_shift bd.(i) shift_b)
       done
-  | S_concat { a; b; shift_a; shift_b; dst } ->
+  | P_concat { shift_a; shift_b } ->
+      let a = src.(0) and b = src.(1) in
       let ad = d.view.(a).Itensor.data
       and bd = d.view.(b).Itensor.data
       and dd = d.view.(dst).Itensor.data in
@@ -576,6 +506,7 @@ let exec_step t d x s st =
           dd.(dbase + (ca * hw) + i) <- Itensor.round_shift bd.(bbase + i) shift_b
         done
       done
+  | P_head _ -> invalid_arg "Plan.execute: a head is not a step"
 
 let execute t x =
   if not (Shape.equal x.Tensor.shape t.input_shape) then
@@ -620,18 +551,19 @@ let execute t x =
 (* -------------------------------------------------------- shape cache *)
 
 type cache = {
-  program : program;
+  nodes : node array;
+  out : int;
   mutex : Mutex.t;
   mutable plans : (int array * t) list;  (* most recently used first *)
 }
 
 let max_cached = 16
 
-let cache program =
-  (match program.pnodes.(program.out).prim with
+let cache (nodes : node array) ~out =
+  (match nodes.(out).prim with
   | P_head _ -> ()
-  | _ -> invalid_arg "Plan.cache: program output must be a head node");
-  { program; mutex = Mutex.create (); plans = [] }
+  | _ -> invalid_arg "Plan.cache: the output must be a head node");
+  { nodes; out; mutex = Mutex.create (); plans = [] }
 
 let plan c ~input_shape =
   Mutex.lock c.mutex;
@@ -639,7 +571,7 @@ let plan c ~input_shape =
     match List.find_opt (fun (s, _) -> Shape.equal s input_shape) c.plans with
     | Some (_, t) -> t
     | None ->
-        let t = compile c.program ~input_shape in
+        let t = compile c.nodes c.out ~input_shape in
         let keep =
           if List.length c.plans >= max_cached then
             List.filteri (fun k _ -> k < max_cached - 1) c.plans
@@ -657,32 +589,32 @@ let cached_shapes c =
   Mutex.unlock c.mutex;
   s
 
-(* Per-tap sparse/dense decisions are frozen into the packed layers at
-   lowering time; summing them over the program reports what a compiled
+(* Per-tap sparse/dense decisions are frozen into the packed layers by
+   [Tapwise.pack]; summing them over the nodes reports what a compiled
    plan will actually execute. *)
 let wino_sparsity c =
   Array.fold_left
-    (fun (sparse, total) { prim; _ } ->
+    (fun (sparse, total) ({ prim; _ } : node) ->
       match prim with
       | P_wino p ->
           ( sparse + Tapwise.sparse_tap_count p,
             total + Array.length (Tapwise.tap_densities p) )
       | _ -> (sparse, total))
-    (0, 0) c.program.pnodes
+    (0, 0) c.nodes
 
-(* The per-layer kernel-width decisions, also frozen at lowering:
+(* The per-layer kernel-width decisions, also frozen by the pack:
    which layers' range proofs let their dense taps run two products
    per word, and the widest accumulator any proof had to allow. *)
 let wino_pairing c =
   Array.fold_left
-    (fun (paired, layers, bits) { prim; _ } ->
+    (fun (paired, layers, bits) ({ prim; _ } : node) ->
       match prim with
       | P_wino p ->
           ( (paired + if Tapwise.paired p then 1 else 0),
             layers + 1,
             max bits (Tapwise.acc_bits p) )
       | _ -> (paired, layers, bits))
-    (0, 0, 0) c.program.pnodes
+    (0, 0, 0) c.nodes
 
 let run c x =
   if Tensor.rank x <> 4 then invalid_arg "Plan.run: input must be NCHW";

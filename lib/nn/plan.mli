@@ -28,12 +28,12 @@ module Itensor = Twq_tensor.Itensor
 module Tapwise = Twq_quant.Tapwise
 module Qconv = Twq_quant.Qconv
 
-(** {1 Program IR}
+(** {1 Integer ops}
 
-    A lowered, execution-ready form of an integer graph: convolutions
-    are pre-packed ({!Tapwise.pack}, {!Qconv.pack}), scales are resolved
-    to shifts, and the float head carries its own dequantization
-    scale. *)
+    The op set of the integer network, in execution-ready form:
+    convolutions are pre-packed ({!Tapwise.pack}, {!Qconv.pack}) when
+    {!Int_graph} builds or loads the node, scales are resolved to shifts,
+    and the float head carries its own dequantization scale. *)
 
 type prim =
   | P_quantize of float  (** float NCHW input → int8 at the given scale *)
@@ -49,22 +49,17 @@ type prim =
   | P_head of { w : Tensor.t; bias : Tensor.t option; in_scale : float }
       (** dequantize → global-average-pool → linear *)
 
-type pnode = { prim : prim; args : int list }
-(** [args] are indices of earlier nodes (strictly smaller than the
-    node's own index). *)
-
-type program = { pnodes : pnode array; out : int }
-(** [out] must name a [P_head] node. *)
+type node = { prim : prim; inputs : int list; scale : float }
+(** One node of an integer network.  [inputs] are indices of earlier
+    nodes (strictly smaller than the node's own index).  [scale] is the
+    power-of-two scale of the node's int8 output (1.0 for the head): the
+    quantizer and the file format carry it, a plan never reads it. *)
 
 (** {1 Compiled plans} *)
 
 type t
-(** A plan for one concrete input shape. *)
-
-val compile : program -> input_shape:int array -> t
-(** Schedule, fuse, and assign buffers for inputs of [input_shape]
-    ([| n; c; h; w |]).
-    @raise Invalid_argument on malformed programs or shapes. *)
+(** A plan for one concrete input shape: the nodes scheduled, fused and
+    assigned arena buffers for inputs of that shape ([| n; c; h; w |]). *)
 
 val execute : t -> Tensor.t -> Tensor.t
 (** Run one forward.  The input must match the plan's shape exactly;
@@ -76,7 +71,7 @@ val input_shape : t -> int array
 (** {2 Introspection} — used by the tests and the bench harness. *)
 
 type assignment = {
-  node : int;  (** program node id *)
+  node : int;  (** network node id *)
   slot : int;  (** arena buffer id *)
   birth : int;  (** schedule step defining the node *)
   death : int;  (** last schedule step reading it *)
@@ -105,11 +100,13 @@ val fused_epilogues : t -> int
 
 type cache
 
-val cache : program -> cache
-(** @raise Invalid_argument if [out] is not a [P_head]. *)
+val cache : node array -> out:int -> cache
+(** The plan cache of the network [nodes] whose output is node [out].
+    @raise Invalid_argument if [out] is not a [P_head]. *)
 
 val plan : cache -> input_shape:int array -> t
-(** Find or compile the plan for [input_shape].  Thread-safe. *)
+(** Find or compile the plan for [input_shape].  Thread-safe.
+    @raise Invalid_argument on a malformed shape. *)
 
 val run : cache -> Tensor.t -> Tensor.t
 (** [plan] + [execute] for the input's own shape. *)
@@ -117,13 +114,13 @@ val run : cache -> Tensor.t -> Tensor.t
 val cached_shapes : cache -> int array list
 
 val wino_sparsity : cache -> int * int
-(** [(sparse, total)] tap counts over the program's packed Winograd
+(** [(sparse, total)] tap counts over the network's packed Winograd
     layers: how many taps will execute through the compressed-panel
     GEMM driver versus the total number of taps.  The split was decided
-    per tap at lowering time against [Microkernel.sparse_threshold]. *)
+    per tap at packing time against [Microkernel.sparse_threshold]. *)
 
 val wino_pairing : cache -> int * int * int
-(** [(paired, layers, max_acc_bits)] over the program's packed Winograd
+(** [(paired, layers, max_acc_bits)] over the network's packed Winograd
     layers: how many passed {!Tapwise.pack}'s accumulator range proof
     and run their dense taps two int products per word
     ([Microkernel.gemm_i32_pair]), out of how many, and the largest

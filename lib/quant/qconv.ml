@@ -118,7 +118,7 @@ module P = Twq_util.Parallel
 module Microkernel = Twq_winograd.Microkernel
 
 (* Everything about the layer that does not depend on the input shape,
-   staged once at lowering: the weights as one NR-packed [K × cout_p]
+   staged once when the graph node is built: the weights as one NR-packed [K × cout_p]
    GEMM panel, with K = cin·kh·kw in the [(ci·kh + ki)·kw + kj] order of
    [wq], and the per-channel requant scale and bias as flat floats. *)
 type packed = {

@@ -4,7 +4,7 @@
     This is the non-Winograd datapath of the accelerator: int8 activations
     and weights, int32 accumulation, requantization on output.  It is the
     reference the paper's Table II "im2col int8" row corresponds to, and
-    what the graph lowering uses for every convolution Winograd cannot
+    what the integer graph uses for every convolution Winograd cannot
     take (stride 2, 1×1).
 
     Two implementations with one meaning:
@@ -55,8 +55,8 @@ val forward_int : layer -> Twq_tensor.Itensor.t -> Twq_tensor.Itensor.t
 type packed
 (** A layer staged for the GEMM path: the weights as an NR-packed
     [K × cout] panel with [K = cin·kh·kw], and the per-channel requant
-    scales and bias as flat float arrays.  Built once at lowering and
-    shared by every compiled plan. *)
+    scales and bias as flat float arrays.  Built once when the graph
+    node is built and shared by every compiled plan. *)
 
 val pack : layer -> packed
 

@@ -289,8 +289,8 @@ module Microkernel = Twq_winograd.Microkernel
 (* Everything about the layer that does not depend on the input shape,
    staged once: the dense taps' Winograd weight panels, the folded
    gather scales and the per-tap requant shifts.  [forward_int]
-   rebuilt these on every call before the planner existed; packing at
-   plan/lowering time removes that per-forward cost entirely. *)
+   rebuilt these on every call before the planner existed; packing once
+   when the graph node is built removes that per-forward cost. *)
 type packed = {
   layer : layer;
   panel : int array;

@@ -24,8 +24,7 @@
    budget with decorrelated-jitter backoff instead of one transparent
    retry, the relative deadline is re-derived from the monotonic clock
    before every hop so shards never batch work whose budget upstream
-   queueing already spent, and (opt-in) a hedge races a second shard
-   after a p99-derived delay.  All timing is [Mclock]; the wall clock
+   queueing already spent.  All timing is [Mclock]; the wall clock
    appears nowhere on the request path. *)
 
 module Mclock = Twq_util.Mclock
@@ -245,8 +244,6 @@ type config = {
   retry : Retry.policy; (* per-request attempt budget *)
   breaker_failures : int; (* K consecutive failures to trip *)
   breaker_cooldown : float; (* seconds open before half-open probe *)
-  hedge : bool; (* race a second shard on slow requests *)
-  hedge_floor : float; (* minimum hedge delay, seconds *)
   seed : int; (* retry-jitter seed *)
 }
 
@@ -262,8 +259,6 @@ let default_config =
     retry = Retry.default;
     breaker_failures = 5;
     breaker_cooldown = 1.0;
-    hedge = false;
-    hedge_floor = 0.01;
     seed = 0;
   }
 
@@ -289,7 +284,6 @@ type t = {
   mutable r_draining : bool;
   mutable r_stopped : bool;
   r_reqseq : int Atomic.t; (* per-request retry-jitter streams *)
-  h_attempt_latency : Metrics.Histogram.t; (* feeds the hedge delay *)
   c_routed : Metrics.Counter.t;
   c_failovers : Metrics.Counter.t;
   c_spills : Metrics.Counter.t;
@@ -297,8 +291,6 @@ type t = {
   c_unhealthy : Metrics.Counter.t;
   c_recoveries : Metrics.Counter.t;
   c_retries : Metrics.Counter.t;
-  c_hedges : Metrics.Counter.t;
-  c_hedge_wins : Metrics.Counter.t;
   c_breaker_opens : Metrics.Counter.t;
   c_breaker_probes : Metrics.Counter.t;
   c_breaker_closes : Metrics.Counter.t;
@@ -345,8 +337,8 @@ let checkout t sh =
 
 let checkin t sh c =
   Mutex.lock sh.sh_mutex;
-  (* After stop, hedge losers may still be completing; close rather
-     than repopulate a pool nobody will drain again. *)
+  (* After stop, in-flight attempts may still be completing; close
+     rather than repopulate a pool nobody will drain again. *)
   let keep = t.r_accepting && List.length sh.sh_pool < t.r_config.pool in
   if keep then sh.sh_pool <- c :: sh.sh_pool;
   Mutex.unlock sh.sh_mutex;
@@ -395,10 +387,9 @@ let attempt t sh ~deadline ~key ~dims ~data =
           checkin t sh c;
           breaker_success t sh;
           `Spill Wire.Closed
-      | Ok { outcome; wire_latency } -> (
+      | Ok { outcome; _ } -> (
           checkin t sh c;
           breaker_success t sh;
-          Metrics.Histogram.observe t.h_attempt_latency wire_latency;
           match outcome with
           | Wire.Overloaded ->
               set_health t sh Backpressured;
@@ -408,87 +399,6 @@ let attempt t sh ~deadline ~key ~dims ~data =
           | Wire.Logits _ | Wire.Expired | Wire.Invalid _ | Wire.Failed _ ->
               if get_health sh = Backpressured then set_health t sh Healthy;
               `Final outcome))
-
-(* Hedge delay: p99 of observed attempt latency once there is enough
-   signal, never below the configured floor. *)
-let hedge_delay t =
-  if Metrics.Histogram.count t.h_attempt_latency >= 20 then
-    Float.max t.r_config.hedge_floor
-      (Metrics.Histogram.quantile t.h_attempt_latency 0.99)
-  else t.r_config.hedge_floor
-
-(* Race two shards for one request: launch [a]; if it has not answered
-   within the hedge delay, launch [b]; first [`Final] wins.  The loser
-   is not cancelled (blocking IO cannot be) — it runs to completion on
-   its thread, its verdict still feeds health and breaker state, and
-   only its reply is discarded.  Returns the winning outcome, or the
-   non-final verdicts seen so far so the caller's retry walk can take
-   over. *)
-let hedged_pair t ~remaining ~key ~dims ~data a b =
-  let mu = Mutex.create () in
-  let final = ref None in
-  let nonfinal = ref [] in
-  let finished = ref 0 in
-  let launch ~second ep =
-    ignore
-      (Thread.create
-         (fun () ->
-           let sh = List.assoc ep t.r_shards in
-           let r = attempt t sh ~deadline:(remaining ()) ~key ~dims ~data in
-           Mutex.lock mu;
-           incr finished;
-           (match r with
-           | `Final o -> if !final = None then final := Some (o, ep, second)
-           | (`Dead | `Spill _) as v -> nonfinal := v :: !nonfinal);
-           Mutex.unlock mu)
-         ())
-  in
-  let poll () =
-    Mutex.lock mu;
-    let s = (!final, !finished) in
-    Mutex.unlock mu;
-    s
-  in
-  launch ~second:false a;
-  let delay = hedge_delay t in
-  let t0 = Mclock.now () in
-  let rec wait_primary () =
-    match poll () with
-    | (Some _, _ | _, 1) -> ()
-    | _ ->
-        if Mclock.elapsed t0 < delay then begin
-          Thread.delay 0.0005;
-          wait_primary ()
-        end
-  in
-  wait_primary ();
-  let hedged =
-    match poll () with
-    | None, 0 ->
-        (* Primary still in flight past the delay: hedge. *)
-        Metrics.Counter.incr t.c_hedges;
-        launch ~second:true b;
-        true
-    | _ -> false
-  in
-  let want = if hedged then 2 else 1 in
-  let rec wait_any () =
-    match poll () with
-    | Some _, _ -> ()
-    | None, n when n >= want -> ()
-    | _ ->
-        Thread.delay 0.0005;
-        wait_any ()
-  in
-  wait_any ();
-  Mutex.lock mu;
-  let result = (!final, !nonfinal) in
-  Mutex.unlock mu;
-  match result with
-  | Some (o, ep, second), _ ->
-      if second then Metrics.Counter.incr t.c_hedge_wins;
-      `Won (o, ep)
-  | None, seen -> `Lost seen
 
 let route_infer t ~deadline ~key ~dims ~data =
   Metrics.Counter.incr t.c_routed;
@@ -609,18 +519,7 @@ let route_infer t ~deadline ~key ~dims ~data =
            decides whether another sweep is worth it. *)
         cycle ()
   in
-  if expired () then deadline_spent ()
-  else if t.r_config.hedge then begin
-    match order () with
-    | a :: b :: _ when grant () -> (
-        match hedged_pair t ~remaining ~key ~dims ~data a b with
-        | `Won (o, winner) -> finalize (List.assoc winner t.r_shards) o
-        | `Lost seen ->
-            List.iter fail seen;
-            cycle ())
-    | _ -> cycle ()
-  end
-  else cycle ()
+  if expired () then deadline_spent () else cycle ()
 
 (* --- wire front-end ----------------------------------------------- *)
 
@@ -633,8 +532,6 @@ let counters t =
     ("unhealthy_transitions", Metrics.Counter.value t.c_unhealthy);
     ("recoveries", Metrics.Counter.value t.c_recoveries);
     ("retries", Metrics.Counter.value t.c_retries);
-    ("hedges", Metrics.Counter.value t.c_hedges);
-    ("hedge_wins", Metrics.Counter.value t.c_hedge_wins);
     ("breaker_opens", Metrics.Counter.value t.c_breaker_opens);
     ("breaker_probes", Metrics.Counter.value t.c_breaker_probes);
     ("breaker_closes", Metrics.Counter.value t.c_breaker_closes);
@@ -836,7 +733,6 @@ let start ?(config = default_config) ~shards ~path () =
                 r_draining = false;
                 r_stopped = false;
                 r_reqseq = Atomic.make 0;
-                h_attempt_latency = Metrics.Histogram.create "attempt_latency";
                 c_routed = Metrics.Counter.create "routed";
                 c_failovers = Metrics.Counter.create "failovers";
                 c_spills = Metrics.Counter.create "spills";
@@ -844,8 +740,6 @@ let start ?(config = default_config) ~shards ~path () =
                 c_unhealthy = Metrics.Counter.create "unhealthy_transitions";
                 c_recoveries = Metrics.Counter.create "recoveries";
                 c_retries = Metrics.Counter.create "retries";
-                c_hedges = Metrics.Counter.create "hedges";
-                c_hedge_wins = Metrics.Counter.create "hedge_wins";
                 c_breaker_opens = Metrics.Counter.create "breaker_opens";
                 c_breaker_probes = Metrics.Counter.create "breaker_probes";
                 c_breaker_closes = Metrics.Counter.create "breaker_closes";

@@ -26,10 +26,7 @@
     attempt budget with decorrelated-jitter backoff.  The relative wire
     deadline is re-derived from the monotonic clock before every hop
     (elapsed routing and backoff time is deducted; a spent budget is
-    answered [Expired] without forwarding).  With [hedge] enabled, a
-    request whose first attempt is slower than the observed p99 attempt
-    latency races a second shard; the first typed reply wins and the
-    loser's reply is discarded. *)
+    answered [Expired] without forwarding). *)
 
 (** The hash ring, exposed for property tests. *)
 module Ring : sig
@@ -94,16 +91,13 @@ type config = {
   retry : Retry.policy;  (** per-request attempt budget *)
   breaker_failures : int;  (** consecutive failures to trip a breaker *)
   breaker_cooldown : float;  (** seconds open before a half-open probe *)
-  hedge : bool;  (** race a second shard on slow requests *)
-  hedge_floor : float;  (** minimum hedge delay, seconds *)
   seed : int;  (** retry-jitter seed *)
 }
 
 val default_config : config
 (** [{ vnodes = 64; heartbeat_interval = 0.25; connect_timeout = 2.;
       pool = 4; retry = Retry.default; breaker_failures = 5;
-      breaker_cooldown = 1.; hedge = false; hedge_floor = 0.01;
-      seed = 0 }] *)
+      breaker_cooldown = 1.; seed = 0 }] *)
 
 type t
 
@@ -122,8 +116,8 @@ val shard_health : t -> (string * health) list
 
 val counters : t -> (string * int) list
 (** routed / failovers / spills / unavailable / unhealthy_transitions /
-    recoveries / retries / hedges / hedge_wins / breaker_opens /
-    breaker_probes / breaker_closes / deadline_rejected, by name. *)
+    recoveries / retries / breaker_opens / breaker_probes /
+    breaker_closes / deadline_rejected, by name. *)
 
 val breakers : t -> (string * Breaker.state) list
 (** Current breaker state per shard, in [shards] order. *)

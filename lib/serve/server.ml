@@ -593,8 +593,8 @@ let handle_conn d fd =
         Metrics.Counter.incr d.dc_frames_in;
         let reply = handle_msg d msg in
         (* The request has already executed; faults here lose only the
-           ack, which is the scenario retry/hedging must not double-
-           execute around. *)
+           ack, which is the scenario retrying must not double-execute
+           around. *)
         match Fault.probe Fault.Reply ~peer:d.d_path with
         | Some Fault.Refuse -> (
             try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())

@@ -634,6 +634,10 @@ let graph_mutations =
     ("leaky shift 63", "leaky", on_op (set_token 1 "63"));
     ("add shift 63", "add", on_op (set_token 1 "63"));
     ("concat shift -1", "concat", on_op (set_token 2 "-1"));
+    ( "add out_scale off its node's scale",
+      "add",
+      on_op (fun l ->
+          set_token 3 (Printf.sprintf "%h" (2.0 *. float_of_string (token 3 l))) l) );
     ("wino past its scatter range", "wino", wino_past_range);
     ("wino narrower than its input", "wino", on_layer "config" (set_token 2 "7"));
   ]
@@ -666,6 +670,25 @@ let test_structure_graph_loads () =
   match Model.of_string (Lazy.force structure_graph) with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "unmutated graph rejected: %s" msg
+
+(* A [twq-int8-graph v1] file committed with the logits it gave on a
+   recorded batch: a fixed-seed graph over Winograd and spatial convs
+   (one of stride 2), ReLU, leaky ReLU, max-pool, 2x2 avg-pool,
+   upsample, residual add, concat and the head.  The text must
+   round-trip byte for byte and still compute exactly those logits, so
+   a change to the format or the integer ops cannot pass unnoticed. *)
+let test_committed_graph () =
+  let text = read_raw "int8_graph_v1.txt" in
+  let g = Twq_nn.Int_graph.of_string text in
+  Alcotest.(check bool) "text round-trips byte for byte" true
+    (String.equal text (Twq_nn.Int_graph.to_string g));
+  let r = Serialize.reader_of_string (read_raw "int8_graph_v1_logits.txt") in
+  let x = Serialize.read_tensor r in
+  let expected = Serialize.read_tensor r in
+  Alcotest.(check bool) "logits bit-identical to the recorded ones" true
+    (tensor_equal_bits expected (Twq_nn.Int_graph.run g x));
+  Alcotest.(check bool) "run == run_ref" true
+    (tensor_equal_bits (Twq_nn.Int_graph.run_ref g x) (Twq_nn.Int_graph.run g x))
 
 (* A Winograd layer at widths 30/30 with every weight at -2^29: each
    field is in range, and at cin = 8 the per-tap accumulators need 63
@@ -952,6 +975,8 @@ let () =
         ] );
       ( "structure",
         Alcotest.test_case "unmutated graph loads" `Quick test_structure_graph_loads
+        :: Alcotest.test_case "committed graph keeps its text and logits" `Quick
+             test_committed_graph
         :: Alcotest.test_case "rejects wino accumulators past the word" `Quick
              test_acc_past_word_refused
         :: List.map
