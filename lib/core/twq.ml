@@ -81,8 +81,8 @@ end
 
 module Nvdla = Twq_nvdla.Nvdla
 
-(* Inference serving: model registry, dynamic batcher, wire protocol,
-   shard router, load generator. *)
+(* Inference serving: model registry, dynamic batcher, wire protocol and
+   front end, shard router, load generator. *)
 module Serve = struct
   module Metrics = Twq_serve.Metrics
   module Model = Twq_serve.Model
@@ -91,6 +91,7 @@ module Serve = struct
   module Server = Twq_serve.Server
   module Loadgen = Twq_serve.Loadgen
   module Wire = Twq_serve.Wire
+  module Listener = Twq_serve.Listener
   module Shard_client = Twq_serve.Shard_client
   module Router = Twq_serve.Router
 end

@@ -166,11 +166,8 @@ let quantize g ~calibration ?(variant = Transform.F4) ?(wino_bits = 8) () =
               inputs;
               scale = s_out;
             }
-        | Graph.Global_avg_pool ->
-            (* Absorbed by the head; stands alone only if the output — treat
-               as the start of the float head. Marked by a dummy scale. *)
-            { prim = Plan.P_relu; inputs; scale = scale_of (List.hd inputs) }
-        | Graph.Linear _ ->
+        | Graph.Global_avg_pool | Graph.Linear _ ->
+            (* Placeholders: the head below absorbs both. *)
             { prim = Plan.P_relu; inputs; scale = scale_of (List.hd inputs) }
       in
       inodes.(id) <- Some inode)
@@ -195,12 +192,19 @@ let quantize g ~calibration ?(variant = Transform.F4) ?(wino_bits = 8) () =
               prim = Plan.P_head { w; bias; in_scale = inodes.(feat).scale };
               inputs = [ feat ];
               scale = 1.0;
-            };
-          (* The stray GAP placeholder must not run on integers. *)
-          inodes.(gap) <- { (inodes.(gap)) with prim = Plan.P_relu }
+            }
       | _ -> invalid_arg "Int_graph.quantize: expected GAP before the head")
   | _ -> invalid_arg "Int_graph.quantize: expected a Linear output head");
-  make inodes out
+  (* The head reads the feature map, so the GAP node is dead: keep only
+     what the head reaches, renumbered in order. *)
+  let reach = Plan.reachable inodes out in
+  let kept = List.filter (fun i -> reach.(i)) (List.init n Fun.id) in
+  let renum = Array.make n (-1) in
+  List.iteri (fun k i -> renum.(i) <- k) kept;
+  let node i =
+    { (inodes.(i)) with inputs = List.map (fun j -> renum.(j)) inodes.(i).inputs }
+  in
+  make (Array.of_list (List.map node kept)) renum.(out)
 
 let int_relu = Itensor.map (fun v -> Stdlib.max 0 v)
 

@@ -7,7 +7,7 @@
    A plan compiles the graph's [node]s for one concrete input shape:
 
    - the schedule is the topological node order, restricted to nodes
-     reachable from the output (dead placeholder nodes are dropped);
+     reachable from the output (dead nodes of a loaded file are dropped);
    - elementwise epilogues (requant already lives in the conv store;
      ReLU and the saturating residual add) are fused into the producing
      conv's output loop when the producer has no other consumer, so the
@@ -157,21 +157,23 @@ let infer_shapes (nodes : node array) ~input_shape =
 
 (* ------------------------------------------------------------- compile *)
 
+(* Inputs name earlier nodes, so one backward sweep marks them all. *)
+let reachable (nodes : node array) out =
+  let reach = Array.make (Array.length nodes) false in
+  reach.(out) <- true;
+  for i = out downto 0 do
+    if reach.(i) then List.iter (fun j -> reach.(j) <- true) nodes.(i).inputs
+  done;
+  reach
+
 let compile (nodes : node array) out ~input_shape =
   if Array.length input_shape <> 4 then
     invalid_arg "Plan.compile: input shape must be [| n; c; h; w |]";
   let n = Array.length nodes in
   let shapes = infer_shapes nodes ~input_shape in
-  (* Reachability from the output: dead nodes (e.g. the patched-out GAP
-     placeholder of Int_graph) are neither scheduled nor given buffers. *)
-  let reach = Array.make n false in
-  let rec mark i =
-    if not reach.(i) then begin
-      reach.(i) <- true;
-      List.iter mark nodes.(i).inputs
-    end
-  in
-  mark out;
+  (* Dead nodes (a loaded file may hold them) are neither scheduled nor
+     given buffers. *)
+  let reach = reachable nodes out in
   (* Consumer multiplicity over reachable nodes — fusion requires the
      producer to have exactly one consumer. *)
   let cons = Array.make n 0 in

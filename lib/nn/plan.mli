@@ -100,6 +100,9 @@ val fused_epilogues : t -> int
 
 type cache
 
+val reachable : node array -> int -> bool array
+(** [(reachable nodes out).(i)]: node [i] feeds node [out]. *)
+
 val cache : node array -> out:int -> cache
 (** The plan cache of the network [nodes] whose output is node [out].
     @raise Invalid_argument if [out] is not a [P_head]. *)

@@ -16,7 +16,9 @@
     {v site[peer]:kind=prob[@ms] v}
 
     - [site]  — [connect] | [send] | [recv] (client side) | [reply]
-                (daemon write path)
+                (replies written by any daemon, shard or router, through
+                {!Listener}; the peer name is the daemon's own socket
+                path)
     - [peer]  — optional substring filter on the peer/endpoint name
     - [kind]  — [refuse] (fail before IO), [drop] (sever mid-frame),
                 [stall] (block for [ms] before IO), [delay] (add [ms]

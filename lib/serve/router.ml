@@ -7,13 +7,13 @@
    endpoints met continuing clockwise — so removing a shard moves only
    the keys it owned, each to its next distinct neighbour.
 
-   Serving: the router speaks the same Wire protocol as a shard (one
-   accept thread, one handler thread per connection) and proxies [Infer]
-   frames with [Shard_client.infer_raw], so a client cannot tell a
-   router from a shard.  Each handler exchange checks a connection out
-   of the target shard's small pool and returns it on success; any IO
-   error both kills that connection and marks the shard [Dead] so other
-   requests stop queueing behind a corpse.  Inference is idempotent —
+   Serving: the router speaks the same Wire protocol as a shard, served
+   through the same [Listener], and proxies [Infer] frames with
+   [Shard_client.infer_raw], so a client cannot tell a router from a
+   shard.  Each handler exchange checks a connection out of the target
+   shard's small pool and returns it on success; any IO error both
+   kills that connection and marks the shard [Dead] so other requests
+   stop queueing behind a corpse.  Inference is idempotent —
    retrying a request whose shard died mid-flight on the next ring node
    is safe, and is exactly what keeps a SIGKILLed shard from losing
    acks in the chaos smoke.
@@ -271,18 +271,12 @@ type shard = {
 }
 
 type t = {
-  r_path : string;
   r_config : config;
   r_ring : Ring.t;
   r_shards : (string * shard) list; (* input order *)
-  r_listen : Unix.file_descr;
-  r_mutex : Mutex.t;
-  mutable r_conns : (Unix.file_descr * Thread.t) list;
-  mutable r_accept : Thread.t option;
+  r_listener : Listener.t;
   mutable r_heartbeat : Thread.t option;
-  mutable r_accepting : bool;
   mutable r_draining : bool;
-  mutable r_stopped : bool;
   r_reqseq : int Atomic.t; (* per-request retry-jitter streams *)
   c_routed : Metrics.Counter.t;
   c_failovers : Metrics.Counter.t;
@@ -295,10 +289,6 @@ type t = {
   c_breaker_probes : Metrics.Counter.t;
   c_breaker_closes : Metrics.Counter.t;
   c_deadline_rejected : Metrics.Counter.t;
-  c_connections : Metrics.Counter.t;
-  c_frames_in : Metrics.Counter.t;
-  c_frames_out : Metrics.Counter.t;
-  c_decode_errors : Metrics.Counter.t;
 }
 
 (* --- health ------------------------------------------------------- *)
@@ -339,7 +329,9 @@ let checkin t sh c =
   Mutex.lock sh.sh_mutex;
   (* After stop, in-flight attempts may still be completing; close
      rather than repopulate a pool nobody will drain again. *)
-  let keep = t.r_accepting && List.length sh.sh_pool < t.r_config.pool in
+  let keep =
+    Listener.running t.r_listener && List.length sh.sh_pool < t.r_config.pool
+  in
   if keep then sh.sh_pool <- c :: sh.sh_pool;
   Mutex.unlock sh.sh_mutex;
   if not keep then Shard_client.close c
@@ -521,7 +513,7 @@ let route_infer t ~deadline ~key ~dims ~data =
   in
   if expired () then deadline_spent () else cycle ()
 
-(* --- wire front-end ----------------------------------------------- *)
+(* --- stats and requests ------------------------------------------ *)
 
 let counters t =
   [
@@ -563,15 +555,8 @@ let stats_json t =
         (Printf.sprintf "%s\"%s\": %d" (if i = 0 then "" else ", ") name v))
     (counters t);
   Buffer.add_string b
-    (Printf.sprintf
-       "},\n\
-       \  \"wire\": {\"connections\": %d, \"frames_in\": %d, \"frames_out\": \
-        %d, \"decode_errors\": %d}\n\
-        }\n"
-       (Metrics.Counter.value t.c_connections)
-       (Metrics.Counter.value t.c_frames_in)
-       (Metrics.Counter.value t.c_frames_out)
-       (Metrics.Counter.value t.c_decode_errors));
+    (Printf.sprintf "},\n  \"wire\": %s\n}\n"
+       (Listener.stats_json t.r_listener));
   Buffer.contents b
 
 let handle_msg t msg =
@@ -596,56 +581,6 @@ let handle_msg t msg =
   | Wire.Drain_reply | Wire.Nack _ ->
       Wire.Nack "router expects requests, not replies"
 
-let unregister_conn t fd =
-  Mutex.lock t.r_mutex;
-  t.r_conns <- List.filter (fun (fd', _) -> fd' != fd) t.r_conns;
-  Mutex.unlock t.r_mutex
-
-let handle_conn t fd =
-  let dec = Wire.decoder () in
-  let rec loop () =
-    match Wire.read_frame fd dec with
-    | exception Unix.Unix_error (_, _, _) -> ()
-    | Error `Eof -> ()
-    | Error (`Error _) -> Metrics.Counter.incr t.c_decode_errors
-    | Ok (id, msg) -> (
-        Metrics.Counter.incr t.c_frames_in;
-        match Wire.write_frame fd ~id (handle_msg t msg) with
-        | () ->
-            Metrics.Counter.incr t.c_frames_out;
-            loop ()
-        | exception Unix.Unix_error (_, _, _) -> ())
-  in
-  loop ();
-  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-  unregister_conn t fd
-
-let accept_loop t =
-  let rec loop () =
-    if t.r_accepting then
-      match Unix.select [ t.r_listen ] [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (_, _, _) -> ()
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ -> (
-          match Unix.accept t.r_listen with
-          | exception Unix.Unix_error (_, _, _) -> if t.r_accepting then loop ()
-          | fd, _ ->
-              Metrics.Counter.incr t.c_connections;
-              Mutex.lock t.r_mutex;
-              if t.r_accepting then begin
-                let th = Thread.create (fun () -> handle_conn t fd) () in
-                t.r_conns <- (fd, th) :: t.r_conns;
-                Mutex.unlock t.r_mutex;
-                loop ()
-              end
-              else begin
-                Mutex.unlock t.r_mutex;
-                try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
-              end)
-  in
-  loop ()
-
 (* Health sweep: one fresh short-timeout ping per shard per interval.
    The ping deliberately bypasses the pool — a pooled connection to a
    dead shard would just burn the timeout twice.  The ping's own
@@ -660,10 +595,10 @@ let heartbeat_loop t =
   let timeout =
     Float.max 0.05 (Float.min t.r_config.connect_timeout interval)
   in
-  while t.r_accepting do
+  while Listener.running t.r_listener do
     List.iter
       (fun (_, sh) ->
-        if t.r_accepting then
+        if Listener.running t.r_listener then
           match Shard_client.connect ~timeout sh.sh_endpoint with
           | Error _ ->
               breaker_failure t sh;
@@ -684,113 +619,63 @@ let heartbeat_loop t =
     (* Sleep in small slices (monotonic accounting) so stop() is
        prompt. *)
     let t0 = Mclock.now () in
-    while t.r_accepting && Mclock.elapsed t0 < interval do
+    while Listener.running t.r_listener && Mclock.elapsed t0 < interval do
       Thread.delay 0.05
     done
   done
 
 let start ?(config = default_config) ~shards ~path () =
   if shards = [] then Error "router needs at least one shard endpoint"
-  else begin
-    (try if Sys.file_exists path then Unix.unlink path
-     with Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-    match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | fd -> (
-        match
-          Unix.bind fd (Unix.ADDR_UNIX path);
-          Unix.listen fd 64
-        with
-        | exception Unix.Unix_error (e, _, _) ->
-            (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-            Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-        | () ->
-            let t =
-              {
-                r_path = path;
-                r_config = config;
-                r_ring = Ring.create ~vnodes:config.vnodes shards;
-                r_shards =
-                  List.map
-                    (fun ep ->
-                      ( ep,
-                        {
-                          sh_endpoint = ep;
-                          sh_mutex = Mutex.create ();
-                          sh_breaker =
-                            Breaker.create ~failures:config.breaker_failures
-                              ~cooldown:config.breaker_cooldown ();
-                          sh_health = Healthy;
-                          sh_pool = [];
-                        } ))
-                    shards;
-                r_listen = fd;
-                r_mutex = Mutex.create ();
-                r_conns = [];
-                r_accept = None;
-                r_heartbeat = None;
-                r_accepting = true;
-                r_draining = false;
-                r_stopped = false;
-                r_reqseq = Atomic.make 0;
-                c_routed = Metrics.Counter.create "routed";
-                c_failovers = Metrics.Counter.create "failovers";
-                c_spills = Metrics.Counter.create "spills";
-                c_unavailable = Metrics.Counter.create "unavailable";
-                c_unhealthy = Metrics.Counter.create "unhealthy_transitions";
-                c_recoveries = Metrics.Counter.create "recoveries";
-                c_retries = Metrics.Counter.create "retries";
-                c_breaker_opens = Metrics.Counter.create "breaker_opens";
-                c_breaker_probes = Metrics.Counter.create "breaker_probes";
-                c_breaker_closes = Metrics.Counter.create "breaker_closes";
-                c_deadline_rejected =
-                  Metrics.Counter.create "deadline_rejected";
-                c_connections = Metrics.Counter.create "connections";
-                c_frames_in = Metrics.Counter.create "frames_in";
-                c_frames_out = Metrics.Counter.create "frames_out";
-                c_decode_errors = Metrics.Counter.create "decode_errors";
-              }
-            in
-            t.r_accept <- Some (Thread.create (fun () -> accept_loop t) ());
-            t.r_heartbeat <-
-              Some (Thread.create (fun () -> heartbeat_loop t) ());
-            Ok t)
-  end
+  else
+    Result.map
+      (fun l ->
+        let t =
+          {
+            r_config = config;
+            r_ring = Ring.create ~vnodes:config.vnodes shards;
+            r_shards =
+              List.map
+                (fun ep ->
+                  ( ep,
+                    {
+                      sh_endpoint = ep;
+                      sh_mutex = Mutex.create ();
+                      sh_breaker =
+                        Breaker.create ~failures:config.breaker_failures
+                          ~cooldown:config.breaker_cooldown ();
+                      sh_health = Healthy;
+                      sh_pool = [];
+                    } ))
+                shards;
+            r_listener = l;
+            r_heartbeat = None;
+            r_draining = false;
+            r_reqseq = Atomic.make 0;
+            c_routed = Metrics.Counter.create "routed";
+            c_failovers = Metrics.Counter.create "failovers";
+            c_spills = Metrics.Counter.create "spills";
+            c_unavailable = Metrics.Counter.create "unavailable";
+            c_unhealthy = Metrics.Counter.create "unhealthy_transitions";
+            c_recoveries = Metrics.Counter.create "recoveries";
+            c_retries = Metrics.Counter.create "retries";
+            c_breaker_opens = Metrics.Counter.create "breaker_opens";
+            c_breaker_probes = Metrics.Counter.create "breaker_probes";
+            c_breaker_closes = Metrics.Counter.create "breaker_closes";
+            c_deadline_rejected = Metrics.Counter.create "deadline_rejected";
+          }
+        in
+        Listener.serve l (handle_msg t);
+        t.r_heartbeat <- Some (Thread.create (fun () -> heartbeat_loop t) ());
+        t)
+      (Listener.bind path)
 
-let path t = t.r_path
+let path t = Listener.path t.r_listener
 
 let stop t =
-  Mutex.lock t.r_mutex;
-  let already = t.r_stopped in
-  t.r_stopped <- true;
   t.r_draining <- true;
-  t.r_accepting <- false;
-  Mutex.unlock t.r_mutex;
-  if not already then begin
-    (match t.r_accept with
-    | Some th ->
-        t.r_accept <- None;
-        Thread.join th
-    | None -> ());
-    (match t.r_heartbeat with
-    | Some th ->
-        t.r_heartbeat <- None;
-        Thread.join th
-    | None -> ());
-    (try Unix.close t.r_listen with Unix.Unix_error (_, _, _) -> ());
-    (try Unix.unlink t.r_path
-     with Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-    Mutex.lock t.r_mutex;
-    let conns = t.r_conns in
-    Mutex.unlock t.r_mutex;
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error (_, _, _) -> ())
-      conns;
-    List.iter (fun (_, th) -> Thread.join th) conns;
-    List.iter (fun (_, sh) -> drop_pool sh) t.r_shards
-  end
+  Listener.stop t.r_listener ~abrupt:false;
+  (* The heartbeat sees [Listener.running] turn false within one slice. *)
+  Option.iter Thread.join t.r_heartbeat;
+  List.iter (fun (_, sh) -> drop_pool sh) t.r_shards
 
-let wait t =
-  match t.r_accept with Some th -> Thread.join th | None -> ()
+let wait t = Listener.wait t.r_listener

@@ -104,10 +104,9 @@ type t
 val start :
   ?config:config -> shards:string list -> path:string -> unit ->
   (t, string) result
-(** Bind the router's own Unix-domain socket at [path] and start the
-    accept and heartbeat threads.  [shards] are the fleet's endpoint
-    socket paths; they do not need to be up yet (the heartbeat will find
-    them). *)
+(** {!Listener.bind} at [path], then start serving and the heartbeat
+    thread.  [shards] are the fleet's endpoint socket paths; they do not
+    need to be up yet (the heartbeat will find them). *)
 
 val path : t -> string
 

@@ -348,15 +348,10 @@ let timings ticket =
   else None
 
 (* ------------------------------------------------------------------ *)
-(* Wire daemon: the server above, exposed on a Unix-domain socket.
-
-   One POSIX thread accepts connections (select-polled so a stop flag
-   can interrupt it — close() alone does not reliably wake a blocked
-   accept); one thread per connection reads frames, executes them and
-   writes the reply with the echoed request id.  Handler threads block
-   in [await] while the compute domains work, so the dynamic batcher
-   coalesces requests across connections exactly as it does across
-   in-process submitters.
+(* Wire daemon: the server above, exposed on a Unix-domain socket
+   through [Listener].  Its handler threads block in [await] while the
+   compute domains work, so the dynamic batcher coalesces requests
+   across connections exactly as it does across in-process submitters.
 
    The daemon serves one model at a time out of a Registry directory.
    [Publish] only stages an artifact; serving changes when [Activate]
@@ -372,22 +367,13 @@ type serving = {
 }
 
 type daemon = {
-  d_path : string;
   d_registry : Registry.t;
   d_config : config;
-  d_listen : Unix.file_descr;
+  d_listener : Listener.t;
   d_mutex : Mutex.t;
   d_swap : Mutex.t; (* serializes Activate-driven server swaps *)
   mutable d_serving : serving option;
-  mutable d_conns : (Unix.file_descr * Thread.t) list;
-  mutable d_accept : Thread.t option;
-  mutable d_accepting : bool;
   mutable d_draining : bool;
-  mutable d_stopped : bool;
-  dc_connections : Metrics.Counter.t;
-  dc_frames_in : Metrics.Counter.t;
-  dc_frames_out : Metrics.Counter.t;
-  dc_decode_errors : Metrics.Counter.t;
 }
 
 let wire_outcome ticket = function
@@ -416,13 +402,10 @@ let start_serving d entry =
        ~version:entry.Registry.version);
   { s_entry; s_server = server }
 
+let snapshot d = Mutex.protect d.d_mutex (fun () -> (d.d_serving, d.d_draining))
+
 let handle_infer d ~deadline ~dims ~data =
-  let serving, draining =
-    Mutex.lock d.d_mutex;
-    let s = (d.d_serving, d.d_draining) in
-    Mutex.unlock d.d_mutex;
-    s
-  in
+  let serving, draining = snapshot d in
   if draining then Wire.Closed
   else
     match serving with
@@ -445,9 +428,7 @@ let handle_infer d ~deadline ~dims ~data =
         end
 
 let daemon_stats_json d =
-  Mutex.lock d.d_mutex;
-  let serving = d.d_serving and draining = d.d_draining in
-  Mutex.unlock d.d_mutex;
+  let serving, draining = snapshot d in
   let serving_json =
     match serving with
     | None -> "null"
@@ -460,26 +441,36 @@ let daemon_stats_json d =
     "{\n\
     \  \"serving\": %s,\n\
     \  \"draining\": %b,\n\
-    \  \"wire\": {\"connections\": %d, \"frames_in\": %d, \"frames_out\": %d, \
-     \"decode_errors\": %d},\n\
+    \  \"wire\": %s,\n\
     \  \"server\": %s}\n"
     serving_json draining
-    (Metrics.Counter.value d.dc_connections)
-    (Metrics.Counter.value d.dc_frames_in)
-    (Metrics.Counter.value d.dc_frames_out)
-    (Metrics.Counter.value d.dc_decode_errors)
+    (Listener.stats_json d.d_listener)
     (match serving with
     | None -> "null"
     | Some s -> Metrics.to_json (metrics s.s_server))
+
+(* Same input dims: swap the entry the resolver reads, so the next batch
+   picks up the new weights while in-flight batches keep the version they
+   resolved.  Otherwise restart the server on the new dims. *)
+let swap_to d entry =
+  Mutex.lock d.d_mutex;
+  match d.d_serving with
+  | Some s when !(s.s_entry).Registry.input_dims = entry.Registry.input_dims ->
+      s.s_entry := entry;
+      Mutex.unlock d.d_mutex
+  | previous ->
+      d.d_serving <- None;
+      Mutex.unlock d.d_mutex;
+      Option.iter (fun s -> shutdown s.s_server) previous;
+      let s = start_serving d entry in
+      Mutex.protect d.d_mutex (fun () -> d.d_serving <- Some s)
 
 let handle_msg d msg =
   match msg with
   | Wire.Infer { key = _; deadline; dims; data } ->
       Wire.Infer_reply (handle_infer d ~deadline ~dims ~data)
   | Wire.Ping ->
-      Mutex.lock d.d_mutex;
-      let serving = d.d_serving and draining = d.d_draining in
-      Mutex.unlock d.d_mutex;
+      let serving, draining = snapshot d in
       Wire.Pong
         {
           healthy = serving <> None && not draining;
@@ -502,46 +493,16 @@ let handle_msg d msg =
               Wire.Publish_reply
                 { ok = false; reason = Registry.error_to_string e }))
   | Wire.Activate { name; version } -> (
-      match Registry.activate d.d_registry ~name ~version with
+      match
+        Result.bind (Registry.activate d.d_registry ~name ~version) (fun () ->
+            Registry.lookup ~version d.d_registry name)
+      with
       | Error e ->
           Wire.Activate_reply
             { ok = false; reason = Registry.error_to_string e }
-      | Ok () -> (
-          match Registry.lookup ~version d.d_registry name with
-          | Error e ->
-              Wire.Activate_reply
-                { ok = false; reason = Registry.error_to_string e }
-          | Ok entry ->
-              Mutex.lock d.d_swap;
-              Mutex.lock d.d_mutex;
-              let previous = d.d_serving in
-              let same_dims =
-                match previous with
-                | Some s -> !(s.s_entry).Registry.input_dims = entry.Registry.input_dims
-                | None -> false
-              in
-              if same_dims then begin
-                (* Same shape: swap the entry the resolver reads; the
-                   next batch picks up the new weights, in-flight
-                   batches keep the version they resolved. *)
-                (match previous with
-                | Some s -> s.s_entry := entry
-                | None -> ());
-                Mutex.unlock d.d_mutex
-              end
-              else begin
-                d.d_serving <- None;
-                Mutex.unlock d.d_mutex;
-                (match previous with
-                | Some s -> shutdown s.s_server
-                | None -> ());
-                let s = start_serving d entry in
-                Mutex.lock d.d_mutex;
-                d.d_serving <- Some s;
-                Mutex.unlock d.d_mutex
-              end;
-              Mutex.unlock d.d_swap;
-              Wire.Activate_reply { ok = true; reason = "active" }))
+      | Ok entry ->
+          Mutex.protect d.d_swap (fun () -> swap_to d entry);
+          Wire.Activate_reply { ok = true; reason = "active" })
   | Wire.Model_info { name } ->
       let versions =
         match List.assoc_opt name (Registry.names d.d_registry) with
@@ -552,198 +513,56 @@ let handle_msg d msg =
         { active = Registry.active_version d.d_registry name; versions }
   | Wire.Stats -> Wire.Stats_reply (daemon_stats_json d)
   | Wire.Drain ->
-      Mutex.lock d.d_mutex;
-      d.d_draining <- true;
-      Mutex.unlock d.d_mutex;
+      Mutex.protect d.d_mutex (fun () -> d.d_draining <- true);
       Wire.Drain_reply
   | Wire.Infer_reply _ | Wire.Pong _ | Wire.Publish_reply _
   | Wire.Activate_reply _ | Wire.Model_info_reply _ | Wire.Stats_reply _
   | Wire.Drain_reply | Wire.Nack _ ->
       Wire.Nack "shard expects requests, not replies"
 
-let unregister_conn d fd =
-  Mutex.lock d.d_mutex;
-  d.d_conns <- List.filter (fun (fd', _) -> fd' != fd) d.d_conns;
-  Mutex.unlock d.d_mutex
-
-(* Injected mid-frame drop on the reply path: half the encoded reply,
-   then the connection dies.  The client's CRC/length checks must turn
-   this into a typed Io/Decode error — never a wrong answer. *)
-let write_reply_partial fd frame =
-  let len = String.length frame / 2 in
-  let rec go off =
-    if off < len then
-      let n = Unix.write_substring fd frame off (len - off) in
-      go (off + n)
-  in
-  (try go 0 with Unix.Unix_error _ -> ());
-  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
-let handle_conn d fd =
-  let dec = Wire.decoder () in
-  let rec loop () =
-    match Wire.read_frame fd dec with
-    | exception Unix.Unix_error (_, _, _) -> ()
-    | Error `Eof -> ()
-    | Error (`Error _) ->
-        (* Framing is lost; drop the connection (typed errors stay on
-           the client side — see Shard_client). *)
-        Metrics.Counter.incr d.dc_decode_errors
-    | Ok (id, msg) -> (
-        Metrics.Counter.incr d.dc_frames_in;
-        let reply = handle_msg d msg in
-        (* The request has already executed; faults here lose only the
-           ack, which is the scenario retrying must not double-execute
-           around. *)
-        match Fault.probe Fault.Reply ~peer:d.d_path with
-        | Some Fault.Refuse -> (
-            try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        | Some Fault.Drop -> write_reply_partial fd (Wire.encode ~id reply)
-        | fault -> (
-            (match fault with
-            | Some (Fault.Stall dur | Fault.Delay dur) -> Unix.sleepf dur
-            | _ -> ());
-            match Wire.write_frame fd ~id reply with
-            | () ->
-                Metrics.Counter.incr d.dc_frames_out;
-                loop ()
-            | exception Unix.Unix_error (_, _, _) -> ()))
-  in
-  loop ();
-  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-  unregister_conn d fd
-
-let accept_loop d =
-  let rec loop () =
-    if d.d_accepting then
-      match Unix.select [ d.d_listen ] [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (_, _, _) -> () (* listener closed *)
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ -> (
-          match Unix.accept d.d_listen with
-          | exception Unix.Unix_error (_, _, _) -> if d.d_accepting then loop ()
-          | fd, _ ->
-              Metrics.Counter.incr d.dc_connections;
-              Mutex.lock d.d_mutex;
-              if d.d_accepting then begin
-                let th = Thread.create (fun () -> handle_conn d fd) () in
-                d.d_conns <- (fd, th) :: d.d_conns;
-                Mutex.unlock d.d_mutex;
-                loop ()
-              end
-              else begin
-                Mutex.unlock d.d_mutex;
-                try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
-              end)
-  in
-  loop ()
-
-let ignore_sigpipe =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ | Sys_error _ -> ())
-
 let listen ?(config = default_config) ~registry ~path () =
-  Lazy.force ignore_sigpipe;
-  (* A stale socket file from a killed daemon blocks bind; remove it. *)
-  (try if Sys.file_exists path then Unix.unlink path
-   with Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | fd -> (
-      match
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        Unix.listen fd 64
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-          Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-      | () ->
-          let d =
-            {
-              d_path = path;
-              d_registry = registry;
-              d_config = config;
-              d_listen = fd;
-              d_mutex = Mutex.create ();
-              d_swap = Mutex.create ();
-              d_serving = None;
-              d_conns = [];
-              d_accept = None;
-              d_accepting = true;
-              d_draining = false;
-              d_stopped = false;
-              dc_connections = Metrics.Counter.create "connections";
-              dc_frames_in = Metrics.Counter.create "frames_in";
-              dc_frames_out = Metrics.Counter.create "frames_out";
-              dc_decode_errors = Metrics.Counter.create "decode_errors";
-            }
-          in
-          (* Recovery: a restarted shard has no active pointer on its
-             fresh registry handle, so it serves the newest artifact of
-             the first name on disk (and re-pins it). *)
-          (match Registry.names registry with
-          | (name, _) :: _ -> (
-              match Registry.resolve registry name with
-              | Ok entry -> d.d_serving <- Some (start_serving d entry)
-              | Error _ -> ())
-          | [] -> ());
-          d.d_accept <- Some (Thread.create (fun () -> accept_loop d) ());
-          Ok d)
+  Result.map
+    (fun l ->
+      let d =
+        {
+          d_registry = registry;
+          d_config = config;
+          d_listener = l;
+          d_mutex = Mutex.create ();
+          d_swap = Mutex.create ();
+          d_serving = None;
+          d_draining = false;
+        }
+      in
+      (* Recovery: a restarted shard has no active pointer on its fresh
+         registry handle, so it serves the newest artifact of the first
+         name on disk (and re-pins it). *)
+      (match Registry.names registry with
+      | (name, _) :: _ -> (
+          match Registry.resolve registry name with
+          | Ok entry -> d.d_serving <- Some (start_serving d entry)
+          | Error _ -> ())
+      | [] -> ());
+      Listener.serve l (handle_msg d);
+      d)
+    (Listener.bind path)
 
-let daemon_path d = d.d_path
+let daemon_path d = Listener.path d.d_listener
 
-let daemon_draining d =
-  Mutex.lock d.d_mutex;
-  let r = d.d_draining in
-  Mutex.unlock d.d_mutex;
-  r
-
-let snapshot_conns d =
-  Mutex.lock d.d_mutex;
-  let conns = d.d_conns in
-  Mutex.unlock d.d_mutex;
-  conns
-
-let join_accept d =
-  match d.d_accept with
-  | Some th ->
-      d.d_accept <- None;
-      Thread.join th
-  | None -> ()
+let daemon_draining d = snd (snapshot d)
 
 let teardown d ~abrupt =
-  Mutex.lock d.d_mutex;
-  let already = d.d_stopped in
-  d.d_stopped <- true;
-  d.d_draining <- true;
-  d.d_accepting <- false;
-  Mutex.unlock d.d_mutex;
-  if not already then begin
-    join_accept d;
-    (try Unix.close d.d_listen with Unix.Unix_error (_, _, _) -> ());
-    (try Unix.unlink d.d_path
-     with Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-    let conns = snapshot_conns d in
-    (* Graceful: half-close the read side so handlers finish the request
-       they are on (replies still flow) and then see EOF.  Abrupt
-       ("SIGKILL"): full shutdown — clients see EOF mid-request, which
-       is exactly what a killed process produces. *)
-    let how = if abrupt then Unix.SHUTDOWN_ALL else Unix.SHUTDOWN_RECEIVE in
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd how with Unix.Unix_error (_, _, _) -> ())
-      conns;
-    List.iter (fun (_, th) -> Thread.join th) conns;
-    (match d.d_serving with Some s -> shutdown s.s_server | None -> ());
-    Mutex.lock d.d_mutex;
-    d.d_serving <- None;
-    Mutex.unlock d.d_mutex
-  end
+  Mutex.protect d.d_mutex (fun () -> d.d_draining <- true);
+  Listener.stop d.d_listener ~abrupt;
+  (* Every handler has returned, so no Activate can swap a server in. *)
+  let serving =
+    Mutex.protect d.d_mutex (fun () ->
+        let s = d.d_serving in
+        d.d_serving <- None;
+        s)
+  in
+  Option.iter (fun s -> shutdown s.s_server) serving
 
 let stop_daemon d = teardown d ~abrupt:false
 let kill_daemon d = teardown d ~abrupt:true
-
-let wait_daemon d =
-  match d.d_accept with Some th -> Thread.join th | None -> ()
+let wait_daemon d = Listener.wait d.d_listener

@@ -80,9 +80,10 @@ val timings : ticket -> (float * float) option
 
 (** {2 Wire daemon}
 
-    The server exposed on a Unix-domain socket speaking the {!Wire}
-    protocol: one accept thread, one handler thread per connection, so
-    the dynamic batcher coalesces requests across connections.
+    The server exposed on a Unix-domain socket through {!Listener}.
+    Its per-connection handler threads block while their request is
+    batched, so the dynamic batcher coalesces requests across
+    connections.
 
     The daemon serves one model at a time out of its {!Registry}:
     [Publish] frames stage artifacts without disturbing serving;
@@ -97,9 +98,8 @@ type daemon
 val listen :
   ?config:config -> registry:Registry.t -> path:string -> unit ->
   (daemon, string) result
-(** Bind a Unix-domain socket at [path] (removing a stale socket file
-    first) and start accepting.  [config] applies to the underlying
-    batching server. *)
+(** {!Listener.bind} at [path], load the recovery model, then start
+    accepting.  [config] applies to the underlying batching server. *)
 
 val daemon_path : daemon -> string
 

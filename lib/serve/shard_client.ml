@@ -8,8 +8,9 @@
    batcher.
 
    Sockets carry send/receive timeouts so a wedged peer turns into a
-   typed [Io] error instead of a hung caller; SIGPIPE is disabled
-   process-wide on first connect so a dead peer turns into EPIPE.
+   typed [Io] error instead of a hung caller; every connect makes sure
+   SIGPIPE is ignored ({!Wire.ignore_sigpipe}) so a dead peer turns
+   into EPIPE.
 
    Every IO step consults the [Fault] hook (one Atomic.get when
    disarmed): connects can be refused or severed, sends and receives
@@ -43,13 +44,8 @@ type t = {
   mutable closed : bool;
 }
 
-let ignore_sigpipe =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ | Sys_error _ -> ())
-
 let connect ?(timeout = 30.0) path =
-  Lazy.force ignore_sigpipe;
+  Wire.ignore_sigpipe ();
   let fault = Fault.probe Fault.Connect ~peer:path in
   (match fault with
   | Some (Fault.Stall d | Fault.Delay d) -> Unix.sleepf d
@@ -98,17 +94,6 @@ let close t =
 
 let endpoint t = t.endpoint
 
-(* Write `len` bytes of an encoded frame, used by the injected
-   mid-frame drop: half a frame on the wire, then the socket dies. *)
-let write_partial fd frame len =
-  let rec go off =
-    if off < len then
-      let n = Unix.write_substring fd frame off (len - off) in
-      go (off + n)
-  in
-  (try go 0 with Unix.Unix_error _ -> ());
-  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
 (* One request/reply exchange.  Any IO failure leaves the stream in an
    unknown state, so the caller must treat the connection as dead. *)
 let roundtrip t msg =
@@ -121,8 +106,7 @@ let roundtrip t msg =
         (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
         Error (Io "injected send refusal")
     | Some Fault.Drop ->
-        let frame = Wire.encode ~id msg in
-        write_partial t.fd frame (String.length frame / 2);
+        Wire.write_torn_frame t.fd ~id msg;
         Error (Io "injected mid-frame drop")
     | fault -> (
         (match fault with

@@ -455,6 +455,15 @@ let write_frame fd ~id msg =
   let s = encode ~id msg in
   write_all fd (Bytes.unsafe_of_string s) 0 (String.length s)
 
+(* The injected mid-frame drop: half the encoded frame, then the socket
+   dies.  The peer's CRC/length checks must turn it into a typed error,
+   never a wrong answer. *)
+let write_torn_frame fd ~id msg =
+  let s = encode ~id msg in
+  (try write_all fd (Bytes.unsafe_of_string s) 0 (String.length s / 2)
+   with Unix.Unix_error _ -> ());
+  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
 let io_chunk = 65536
 
 let read_frame fd d =
@@ -472,3 +481,9 @@ let read_frame fd d =
             loop ())
   in
   loop ()
+
+(* A write to a peer that hung up must fail with EPIPE instead of
+   killing the process.  Setting the disposition again is harmless. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+  with Invalid_argument _ | Sys_error _ -> ()

@@ -118,7 +118,16 @@ val decode_string : ?max_frame:int -> string -> (int64 * msg, error) result
 
 val write_frame : Unix.file_descr -> id:int64 -> msg -> unit
 
+val write_torn_frame : Unix.file_descr -> id:int64 -> msg -> unit
+(** The injected mid-frame drop of {!Fault}: writes the first half of
+    the encoded frame, then shuts the socket down.  Never raises. *)
+
 val read_frame :
   Unix.file_descr -> decoder -> (int64 * msg, [ `Eof | `Error of error ]) result
 (** Reads until the decoder completes a frame.  EOF mid-frame is
     [`Error Truncated]; EOF on a frame boundary is [`Eof]. *)
+
+val ignore_sigpipe : unit -> unit
+(** Ignore SIGPIPE process-wide, so a write to a peer that hung up
+    raises [EPIPE] instead of killing the process.  Idempotent;
+    {!Listener.bind} and {!Shard_client.connect} call it. *)

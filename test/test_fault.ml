@@ -476,44 +476,55 @@ let test_chaos_severed_sends () =
       Alcotest.(check bool) "most requests still complete" true
         (s.Loadgen.p_completed > 30))
 
-(* A mid-frame severed reply must surface as a typed transport error on
-   a direct shard connection — and the connection afterwards must still
-   serve bit-identical answers once faults stop. *)
+(* A mid-frame severed reply must surface as a typed transport error,
+   never logits — and once faults stop a fresh connection must serve
+   bit-identical answers.  Shard and router write replies through the
+   same front end, so both are torn: the shard on a direct connection,
+   the router on a client of its socket (its shard leg stays clean). *)
 let test_chaos_partial_reply_never_wrong () =
-  with_fleet ~n:1 (fun _r ~rsock:_ ~socks ~daemons:_ ->
-      let shard = List.hd socks in
-      let plan =
-        Result.get_ok (Fault.of_spec ~seed:5 "reply[twq_shard]:drop=1.0")
-      in
-      Fault.arm plan;
+  with_fleet ~n:1 (fun _r ~rsock ~socks ~daemons:_ ->
       let x = rand_input 4242 in
-      (match Shard_client.connect ~timeout:5.0 shard with
-      | Error e ->
-          Alcotest.failf "connect: %s" (Shard_client.error_to_string e)
-      | Ok c ->
-          (match Shard_client.infer ~key:"k" c x with
-          | Ok { outcome = Wire.Logits _; _ } ->
-              Alcotest.fail "severed reply produced logits"
-          | Ok _ -> Alcotest.fail "severed reply produced a typed reply"
-          | Error (Shard_client.Io _ | Shard_client.Decode _) -> ()
+      List.iter
+        (fun (spec, sock) ->
+          let plan = Result.get_ok (Fault.of_spec ~seed:5 spec) in
+          Fault.arm plan;
+          (match Shard_client.connect ~timeout:5.0 sock with
           | Error e ->
-              Alcotest.failf "unexpected error class: %s"
-                (Shard_client.error_to_string e));
-          Shard_client.close c);
-      Fault.disarm ();
-      match Shard_client.connect ~timeout:5.0 shard with
-      | Error e ->
-          Alcotest.failf "reconnect: %s" (Shard_client.error_to_string e)
-      | Ok c ->
-          (match Shard_client.infer ~key:"k" c x with
-          | Ok { outcome = Wire.Logits { data; _ }; _ } ->
-              Alcotest.(check bool) "post-chaos answer bit-identical" true
-                (farr_eq data (reference_row x))
-          | Ok _ -> Alcotest.fail "expected logits after disarm"
+              Alcotest.failf "%s: connect: %s" spec
+                (Shard_client.error_to_string e)
+          | Ok c ->
+              (match Shard_client.infer ~key:"k" c x with
+              | Ok { outcome = Wire.Logits _; _ } ->
+                  Alcotest.failf "%s: severed reply produced logits" spec
+              | Ok _ ->
+                  Alcotest.failf "%s: severed reply produced a typed reply"
+                    spec
+              | Error (Shard_client.Io _ | Shard_client.Decode _) -> ()
+              | Error e ->
+                  Alcotest.failf "%s: unexpected error class: %s" spec
+                    (Shard_client.error_to_string e));
+              Shard_client.close c);
+          Fault.disarm ();
+          Alcotest.(check bool) (spec ^ ": drop fired") true
+            (List.assoc "drop" (Fault.counts plan) > 0);
+          match Shard_client.connect ~timeout:5.0 sock with
           | Error e ->
-              Alcotest.failf "infer after disarm: %s"
-                (Shard_client.error_to_string e));
-          Shard_client.close c)
+              Alcotest.failf "%s: reconnect: %s" spec
+                (Shard_client.error_to_string e)
+          | Ok c ->
+              (match Shard_client.infer ~key:"k" c x with
+              | Ok { outcome = Wire.Logits { data; _ }; _ } ->
+                  Alcotest.(check bool)
+                    (spec ^ ": post-chaos answer bit-identical")
+                    true
+                    (farr_eq data (reference_row x))
+              | Ok _ -> Alcotest.failf "%s: expected logits after disarm" spec
+              | Error e ->
+                  Alcotest.failf "%s: infer after disarm: %s" spec
+                    (Shard_client.error_to_string e));
+              Shard_client.close c)
+        [ ("reply[twq_shard]:drop=1.0", List.hd socks);
+          ("reply[twq_rtr]:drop=1.0", rsock) ])
 
 (* Client-side retry over a faulty direct shard leg: send drops sever
    the connection mid-frame, forcing a reconnect (which may itself be

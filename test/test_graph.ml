@@ -178,6 +178,55 @@ let test_int_graph_rejects_bn () =
     (Invalid_argument "Int_graph.quantize: run Passes.fold_bn first") (fun () ->
       ignore (Int_graph.quantize g ~calibration:x ()))
 
+(* Node inputs as [to_string] writes them ("node <arity> <scale> <ids>"),
+   with the output id from the "meta" line. *)
+let node_inputs iq =
+  let lines = String.split_on_char '\n' (Int_graph.to_string iq) in
+  let fields l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  let out =
+    match fields (List.find (String.starts_with ~prefix:"meta ") lines) with
+    | [ _; _; out ] -> int_of_string out
+    | _ -> Alcotest.fail "meta line"
+  in
+  let inputs =
+    List.filter_map
+      (fun l ->
+        match fields l with
+        | "node" :: _ :: _ :: ids -> Some (List.map int_of_string ids)
+        | _ -> None)
+      lines
+  in
+  (Array.of_list inputs, out)
+
+(* [quantize] keeps only the nodes the head reaches (the GAP it absorbs
+   is gone), and the plan still matches the oracle bit for bit. *)
+let test_int_graph_only_live_nodes () =
+  let x = Tensor.rand_gaussian (rng ()) [| 2; 3; 16; 16 |] ~mu:0.0 ~sigma:1.0 in
+  List.iter
+    (fun (name, g) ->
+      let iq = Int_graph.quantize (Passes.fold_bn g) ~calibration:x () in
+      let inputs, out = node_inputs iq in
+      let reach = Array.make (Array.length inputs) false in
+      let rec mark i =
+        if not reach.(i) then begin
+          reach.(i) <- true;
+          List.iter mark inputs.(i)
+        end
+      in
+      mark out;
+      Array.iteri
+        (fun i r ->
+          if not r then Alcotest.failf "%s: node %d is not reachable from %d" name i out)
+        reach;
+      Alcotest.(check bool) (name ^ ": run = run_ref") true
+        (Tensor.approx_equal ~tol:0.0 (Int_graph.run iq x) (Int_graph.run_ref iq x)))
+    [
+      ("resnet20", Gmodels.resnet20 ~rng:(rng ()) ~width_div:4 ());
+      ("vgg", Gmodels.vgg_nagadomi ~rng:(rng ()) ~width_div:8 ());
+      ("unet-mini", Gmodels.unet_mini ~rng:(rng ()) ~classes:2 ());
+      ("yolo-mini", Gmodels.yolo_mini ~rng:(rng ()) ~classes:10 ());
+    ]
+
 let test_int_graph_deterministic () =
   let g = Passes.fold_bn (Gmodels.vgg_nagadomi ~rng:(rng ()) ~width_div:8 ()) in
   let x = Tensor.rand_gaussian (rng ()) [| 1; 3; 16; 16 |] ~mu:0.0 ~sigma:1.0 in
@@ -392,6 +441,7 @@ let () =
           Alcotest.test_case "resnet20" `Quick test_int_graph_resnet;
           Alcotest.test_case "rejects bn" `Quick test_int_graph_rejects_bn;
           Alcotest.test_case "deterministic" `Quick test_int_graph_deterministic;
+          Alcotest.test_case "only live nodes" `Quick test_int_graph_only_live_nodes;
           Alcotest.test_case "wino bits help" `Quick test_int_graph_wino_bits_help;
         ] );
       ( "qat bridge",

@@ -13,6 +13,7 @@ module Model = Twq_serve.Model
 module Registry = Twq_serve.Registry
 module Server = Twq_serve.Server
 module Shard_client = Twq_serve.Shard_client
+module Router = Twq_serve.Router
 module Microkernel = Twq_winograd.Microkernel
 
 (* ------------------------------------------------------------- gens *)
@@ -411,24 +412,54 @@ let test_daemon_control_plane () =
           | Ok _ -> Alcotest.fail "expected Pong"
           | Error e -> Alcotest.failf "ping: %s" (Shard_client.error_to_string e)))
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A client that breaks framing gets dropped without a reply and counted
+   as a decode error; a fresh connection still works (per-connection
+   decoder state).  Shard and router share the front end, so both are
+   driven the same way. *)
 let test_daemon_rejects_garbage () =
   with_daemon (fun _d ~sock ~model:_ ~dims:_ ->
-      (* A client that breaks framing gets dropped; a fresh connection
-         still works (per-connection decoder state). *)
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX sock);
-      let junk = Bytes.of_string "GARBAGEGARBAGEGARBAGE" in
-      ignore (Unix.write fd junk 0 (Bytes.length junk));
-      let buf = Bytes.create 64 in
-      let n = try Unix.read fd buf 0 64 with Unix.Unix_error _ -> 0 in
-      Alcotest.(check int) "connection dropped without reply" 0 n;
-      Unix.close fd;
-      let c = connect sock in
-      (match Shard_client.ping c with
-      | Ok _ -> ()
-      | Error e ->
-          Alcotest.failf "fresh connection: %s" (Shard_client.error_to_string e));
-      Shard_client.close c)
+      let rsock = Filename.temp_file "twq_wire_rt" ".sock" in
+      Sys.remove rsock;
+      match Router.start ~shards:[ sock ] ~path:rsock () with
+      | Error e -> Alcotest.failf "router: %s" e
+      | Ok r ->
+          Fun.protect
+            ~finally:(fun () ->
+              Router.stop r;
+              if Sys.file_exists rsock then Sys.remove rsock)
+            (fun () ->
+              List.iter
+                (fun (what, path) ->
+                  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+                  Unix.connect fd (Unix.ADDR_UNIX path);
+                  let junk = Bytes.of_string "GARBAGEGARBAGEGARBAGE" in
+                  ignore (Unix.write fd junk 0 (Bytes.length junk));
+                  let buf = Bytes.create 64 in
+                  let n = try Unix.read fd buf 0 64 with Unix.Unix_error _ -> 0 in
+                  Alcotest.(check int) (what ^ ": dropped without reply") 0 n;
+                  Unix.close fd;
+                  let c = connect path in
+                  (match Shard_client.ping c with
+                  | Ok _ -> ()
+                  | Error e ->
+                      Alcotest.failf "%s: fresh connection: %s" what
+                        (Shard_client.error_to_string e));
+                  (match Shard_client.stats c with
+                  | Ok json ->
+                      Alcotest.(check bool)
+                        (what ^ ": one decode error in the wire stats")
+                        true
+                        (contains json "\"decode_errors\": 1}")
+                  | Error e ->
+                      Alcotest.failf "%s: stats: %s" what
+                        (Shard_client.error_to_string e));
+                  Shard_client.close c)
+                [ ("shard", sock); ("router", rsock) ]))
 
 let test_kill_daemon_severs () =
   with_daemon (fun d ~sock ~model:_ ~dims:_ ->
